@@ -1,12 +1,12 @@
 //! The deterministic benchmark-trajectory experiment (`bench`): verifies
 //! the full corpus under both refiners, cached and uncached, and emits the
-//! `BENCH_pr10.json` trajectory point.
+//! `BENCH_pr12.json` trajectory point.
 //!
 //! This is the CI entry point of the perf trajectory: the `bench-smoke` job
 //! runs it with `--check tests/golden/bench.json` (fails the build when the
 //! report schema or any deterministic field — verdict, refinement count,
 //! solver-call and cache counters — drifts from the committed golden) and
-//! `--compare-previous BENCH_pr9.json` (fails on any per-task regression of
+//! `--compare-previous BENCH_pr10.json` (fails on any per-task regression of
 //! a gated counter — `solver_calls`, `simplex_calls`, the refine-phase cold
 //! simplex calls `phases.refine_simplex_calls`, and the synthesis frontier
 //! `synth_branches_explored` — against the committed previous trajectory
@@ -22,13 +22,13 @@ use crate::trajectory::{run_trajectory, TrajectoryReport};
 pub struct BenchConfig {
     /// Worker threads (defaults to available parallelism).
     pub jobs: Option<usize>,
-    /// Where to write the full trajectory report (`BENCH_pr10.json`).
+    /// Where to write the full trajectory report (`BENCH_pr12.json`).
     pub bench_json: Option<String>,
     /// Where to write the deterministic golden projection.
     pub bench_golden: Option<String>,
     /// A committed golden to diff the run against; any drift is an error.
     pub check: Option<String>,
-    /// A committed *previous* trajectory point (`BENCH_pr9.json`); any
+    /// A committed *previous* trajectory point (`BENCH_pr10.json`); any
     /// per-task regression of a gated counter (`solver_calls`,
     /// `simplex_calls`, `phases.refine_simplex_calls`,
     /// `synth_branches_explored`) against it is an error.

@@ -21,7 +21,7 @@
 //! `tests/golden/corpus.json`, so a PR that flips a verdict, blows up
 //! refinement counts, or regresses solver-call discipline fails tier-1
 //! immediately.  The [`trajectory`] module builds the benchmark trajectory
-//! point (`BENCH_pr10.json`) on the same harness.
+//! point (`BENCH_pr12.json`) on the same harness.
 //!
 //! Every conclusive verdict additionally carries a certificate (an
 //! inductive invariant map, a bounded-unroll claim, or a concrete trace)

@@ -153,7 +153,7 @@ OPTIONS:
                            tasks (same verdicts, more solver calls)
     --bless                regenerate every committed golden snapshot
                            (tests/golden/corpus.json, tests/golden/bench.json)
-                           and the BENCH_pr10.json trajectory point (including
+                           and the BENCH_pr12.json trajectory point (including
                            its race, serve, supervision, and certificate-audit
                            sections); run from the repository root
     --quiet                suppress the summary table
@@ -336,7 +336,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 fn bless(jobs: usize) -> ExitCode {
     const CORPUS_GOLDEN: &str = "tests/golden/corpus.json";
     const BENCH_GOLDEN: &str = "tests/golden/bench.json";
-    const BENCH_POINT: &str = "BENCH_pr10.json";
+    const BENCH_POINT: &str = "BENCH_pr12.json";
     if !std::path::Path::new("tests/golden").is_dir() {
         eprintln!("error: tests/golden/ not found; run --bless from the repository root");
         return ExitCode::FAILURE;

@@ -1,6 +1,6 @@
 //! The benchmark-trajectory report: one deterministic measurement point of
-//! the corpus-wide solver workload, emitted as `BENCH_pr10.json`
-//! (`BENCH_pr9.json` is the committed previous point the bench-smoke CI job
+//! the corpus-wide solver workload, emitted as `BENCH_pr12.json`
+//! (`BENCH_pr10.json` is the committed previous point the bench-smoke CI job
 //! diffs against for per-task counter regressions), plus the [`render_history`]
 //! aggregation that renders every committed `BENCH_*.json` as one per-PR
 //! table (`pathinv-cli trajectory --history`).
@@ -298,7 +298,7 @@ impl TrajectoryReport {
         saved as f64 / self.baseline.solver_calls as f64
     }
 
-    /// The full JSON rendering (the contents of `BENCH_pr10.json`): the
+    /// The full JSON rendering (the contents of `BENCH_pr12.json`): the
     /// deterministic fields plus wall-clock, and — when a racing run was
     /// attached — the `race` section with the per-program winner and every
     /// lane's time-to-first-verdict.

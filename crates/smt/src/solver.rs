@@ -28,12 +28,39 @@
 //! exponential cube enumeration — the old enumerator exhausted the
 //! case-split budget on BUGGY_INITCHECK — with a search whose budget
 //! consumption tracks the theory work actually performed.
+//!
+//! Below the boolean layer, `solve_atoms` case-splits a cube's
+//! disequalities and reads over writes with *conflict-directed
+//! backjumping*.  Every split is a decision, identified by its recursion
+//! depth; every atom carries the decisions that created or rewrote it
+//! (through the split itself, alias substitution, and store-definition
+//! extraction); and every refutation returns an *explanation*, the set of
+//! decisions its conflict depends on.  Explanations come from three
+//! sources:
+//!
+//! * the Farkas support of the linear-relaxation pre-check, and the
+//!   conflict core of an infeasible base tableau — the deps of the atoms
+//!   whose rows carry a nonzero multiplier;
+//! * an atom false on its own (a read resolved to a contradicting
+//!   constant) — its own deps;
+//! * a congruence conflict or a refuted functionality search — the deps of
+//!   every equality, or of every atom: conservative, and sound.
+//!
+//! When the first branch of a split at depth `d` is refuted by a conflict
+//! that excludes `d`, the sibling branch is skipped and the conflict is
+//! returned upward.  This is sound because such a conflict refutes the
+//! parent node: every atom it uses existed before `d`, or follows from
+//! atoms that did by rewrites the explanation records.  Backjumping only
+//! skips subtrees already proven unsatisfiable, so the first satisfiable
+//! leaf and its model are those of the plain depth-first search, while
+//! independent array reads cost the *sum* of their case splits instead of
+//! the product.
 
 use crate::congruence::CongruenceClosure;
 use crate::error::{SmtError, SmtResult};
 use crate::linexpr::{LinConstraint, LinExpr};
 use crate::rat::Rat;
-use crate::simplex::{solve as lra_solve, IncrementalSimplex};
+use crate::simplex::{solve as lra_solve, IncrementalSimplex, LpResult};
 use pathinv_ir::{Atom, Formula, FormulaId, RelOp, SeqId, Symbol, Term, VarRef};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
@@ -149,7 +176,7 @@ impl Solver {
     pub fn check(&self, f: &Formula) -> SmtResult<SatResult> {
         crate::stats::record_sat_check();
         check_no_negated_quantifier(f, true)?;
-        let budget = Cell::new(self.max_branches);
+        let budget = SplitBudget::new(self.max_branches);
         let original_vars: BTreeSet<VarRef> = f.var_refs();
         let mut search = CubeSearch::default();
         let mut pending = VecDeque::new();
@@ -272,16 +299,25 @@ impl Solver {
         self.entails(&Formula::True, f)
     }
 
-    /// Decides a conjunction of ground atoms by recursive case splitting:
-    /// disequalities, then read-over-write, then the base theory combination.
-    fn solve_atoms(&self, atoms: Vec<Atom>, budget: &Cell<usize>) -> SmtResult<Option<Model>> {
-        crate::cancel::check_ambient()?;
-        if budget.get() == 0 {
-            return Err(SmtError::Budget {
-                message: "case-split budget exhausted in the combined solver".into(),
-            });
-        }
-        budget.set(budget.get() - 1);
+    /// Decides a conjunction of ground atoms by recursive case splitting —
+    /// disequalities, then read-over-write, then the base theory
+    /// combination — with conflict-directed backjumping.
+    ///
+    /// `depth` is this node's decision id: a split made here tags every
+    /// atom it creates or rewrites with `depth`, and every refutation comes
+    /// back with its explanation, the decisions its conflict depends on
+    /// (see [`Outcome`]).  A first branch refuted without its own decision
+    /// refutes this node as well, so the sibling branch is skipped: the
+    /// case splits of independent array reads cost their sum, not their
+    /// product.
+    fn solve_atoms(
+        &self,
+        lits: Vec<Lit>,
+        depth: usize,
+        budget: &SplitBudget,
+        kind: Branch,
+    ) -> SmtResult<Outcome> {
+        budget.spend(kind)?;
 
         // 0. Conflict-driven pruning: when a non-trivial case-split tree is
         //    coming up, first check the *linear relaxation* of the
@@ -299,170 +335,151 @@ impl Solver {
         //    and the read-over-write chains of unrolled array programs renew
         //    their disequality supply at every miss step, so deep chains
         //    keep qualifying.
-        let ne_count = atoms.iter().filter(|a| a.op == RelOp::Ne).count();
-        if ne_count >= 2 && !self.relaxation_is_sat(&atoms)? {
-            return Ok(None);
+        let ne_count = lits.iter().filter(|l| l.atom.op == RelOp::Ne).count();
+        if ne_count >= 2 {
+            if let Some(core) = relaxation_conflict(&lits)? {
+                return Ok(Outcome::Unsat(core));
+            }
         }
 
-        // 1. Split the first disequality.
-        if let Some(pos) = atoms.iter().position(|a| a.op == RelOp::Ne) {
-            let a = atoms[pos].clone();
-            for op in [RelOp::Lt, RelOp::Gt] {
-                let mut branch = atoms.clone();
-                branch[pos] = Atom::new(a.lhs.clone(), op, a.rhs.clone());
-                if let Some(m) = self.solve_atoms(branch, budget)? {
-                    return Ok(Some(m));
-                }
-            }
-            return Ok(None);
+        // 1. Split the first disequality `s != t` into `s < t` | `s > t`.
+        //    The split is justified by the disequality, so its deps join
+        //    the explanation when both branches need the decision.
+        if let Some(pos) = lits.iter().position(|l| l.atom.op == RelOp::Ne) {
+            let ne = lits[pos].clone();
+            let decided = ne.deps.with(depth);
+            return self.split(depth, budget, Branch::Disequality, ne.deps, |first| {
+                let op = if first { RelOp::Lt } else { RelOp::Gt };
+                let mut branch = lits.clone();
+                branch[pos] = Lit {
+                    atom: Atom::new(ne.atom.lhs.clone(), op, ne.atom.rhs.clone()),
+                    deps: decided.clone(),
+                };
+                branch
+            });
         }
 
         // 2. Resolve array aliases and collect store definitions.
-        let (atoms, defs) = normalise_arrays(atoms)?;
+        let (lits, defs) = normalise_arrays(lits);
 
-        // 3. Find a read over a written array and split on the index.
-        if let Some((target, base, idx, val)) = find_read_over_write(&atoms, &defs) {
-            let written_idx = idx.clone();
-            // Case A: the read hits the written cell.
-            {
-                let mut branch: Vec<Atom> = atoms
-                    .iter()
-                    .map(|a| a.map_terms(&|t| replace_subterm(t, &target, &val)))
-                    .collect();
-                let read_idx = match &target {
-                    Term::Select(_, i) => (**i).clone(),
-                    _ => unreachable!("target is always a select"),
-                };
-                branch.push(Atom::new(read_idx, RelOp::Eq, written_idx.clone()));
-                branch.extend(defs_as_atoms(&defs));
-                if let Some(m) = self.solve_atoms(branch, budget)? {
-                    return Ok(Some(m));
-                }
-            }
-            // Case B: the read misses the written cell.
-            {
-                let read_idx = match &target {
-                    Term::Select(_, i) => (**i).clone(),
-                    _ => unreachable!("target is always a select"),
-                };
-                let redirected = base.select(read_idx.clone());
-                let mut branch: Vec<Atom> = atoms
-                    .iter()
-                    .map(|a| a.map_terms(&|t| replace_subterm(t, &target, &redirected)))
-                    .collect();
-                branch.push(Atom::new(read_idx, RelOp::Ne, written_idx));
-                branch.extend(defs_as_atoms(&defs));
-                if let Some(m) = self.solve_atoms(branch, budget)? {
-                    return Ok(Some(m));
-                }
-            }
-            return Ok(None);
+        // 3. Find a read over a written array and split on the index: the
+        //    read hits the written cell, or it misses it.  The split is a
+        //    tautology and needs no justification.
+        if let Some(row) = find_read_over_write(&lits, &defs) {
+            return self.split(depth, budget, Branch::ReadOverWrite, Deps::default(), |hit| {
+                row.branch(hit, &lits, &defs, depth)
+            });
         }
 
         // 4. Base case: no disequalities, no reads over writes.
-        self.solve_base(&atoms, budget)
+        self.solve_base(&lits, budget)
     }
 
-    /// The linear relaxation of a ground conjunction: disequalities are
-    /// dropped, array reads and applications are abstracted by fresh
-    /// variables (identical reads share one, a congruence-lite that costs
-    /// nothing), store structure is ignored, and the remaining linear
-    /// skeleton is decided with a single simplex call.  Every dropped or
-    /// weakened constraint only *removes* information, so `false` certifies
-    /// the original conjunction unsatisfiable; `true` says nothing.
-    ///
-    /// Atoms outside the linear fragment (non-linear products, array-sorted
-    /// equalities) are *skipped*, not errored: skipping only weakens the
-    /// relaxation further, and the strict path must stay the sole source of
-    /// `NonLinear` errors — it may legitimately refute such a cube through
-    /// the congruence pre-filter without ever reaching the linear
-    /// converter.
-    ///
-    /// # Errors
-    ///
-    /// Propagates arithmetic overflow.
-    fn relaxation_is_sat(&self, atoms: &[Atom]) -> SmtResult<bool> {
-        let mut instances: Vec<Instance> = Vec::new();
-        let mut constraints: Vec<LinConstraint<VarRef>> = Vec::new();
-        for a in atoms {
-            if a.op == RelOp::Ne {
-                continue;
-            }
-            let lhs = abstract_term(&a.lhs, &mut instances);
-            let rhs = abstract_term(&a.rhs, &mut instances);
-            match LinConstraint::from_atom(&Atom::new(lhs, a.op, rhs)) {
-                Ok(c) => constraints.push(c.tighten_for_integers()?),
-                Err(SmtError::SortMismatch { .. } | SmtError::NonLinear { .. }) => {}
-                Err(e) => return Err(e),
+    /// Explores the two branches of the decision made at `depth`, first
+    /// branch first.  A branch refuted without mentioning the decision
+    /// refutes this node outright (the backjump); otherwise the node's
+    /// explanation is the union of both branches' explanations and the
+    /// split's `justification`, minus the decision itself.
+    fn split(
+        &self,
+        depth: usize,
+        budget: &SplitBudget,
+        kind: Branch,
+        justification: Deps,
+        branch: impl Fn(bool) -> Vec<Lit>,
+    ) -> SmtResult<Outcome> {
+        let mut explanation = justification;
+        for first in [true, false] {
+            match self.solve_atoms(branch(first), depth + 1, budget, kind)? {
+                Outcome::Sat(m) => return Ok(Outcome::Sat(m)),
+                Outcome::Unsat(e) if !e.contains(depth) => return Ok(Outcome::Unsat(e)),
+                Outcome::Unsat(e) => explanation.union_with(&e),
             }
         }
-        Ok(lra_solve(&constraints)?.is_sat())
+        explanation.remove(depth);
+        Ok(Outcome::Unsat(explanation))
     }
 
     /// Base-case theory combination: congruence pre-filter, abstraction of
     /// reads/applications by fresh variables, simplex with lazy functionality
     /// enforcement.
-    fn solve_base(&self, atoms: &[Atom], budget: &Cell<usize>) -> SmtResult<Option<Model>> {
+    ///
+    /// An atom false on its own (a read resolved to a constant that
+    /// contradicts it) is explained by its own deps, and an infeasible base
+    /// tableau by the deps of its conflict core.  A congruence conflict is
+    /// explained by the deps of every equality, and a refuted functionality
+    /// search by the deps of every atom — conservative, and sound.
+    fn solve_base(&self, lits: &[Lit], budget: &SplitBudget) -> SmtResult<Outcome> {
+        if let Some(l) = lits.iter().find(|l| is_constant_false(&l.atom)) {
+            return Ok(Outcome::Unsat(l.deps.clone()));
+        }
+        let everything = || Deps::union_all(lits.iter().map(|l| &l.deps));
+
         // Congruence pre-filter on the equality atoms.
         let mut cc = CongruenceClosure::new();
-        for a in atoms {
-            if a.op == RelOp::Eq {
-                cc.assert_eq(&a.lhs, &a.rhs);
-            }
+        let equalities = || lits.iter().filter(|l| l.atom.op == RelOp::Eq);
+        for l in equalities() {
+            cc.assert_eq(&l.atom.lhs, &l.atom.rhs);
         }
         if !cc.is_consistent() {
-            return Ok(None);
+            return Ok(Outcome::Unsat(Deps::union_all(equalities().map(|l| &l.deps))));
         }
 
         // Abstract array reads and uninterpreted applications.
         let mut instances: Vec<Instance> = Vec::new();
-        let mut abstracted: Vec<Atom> = Vec::new();
-        for a in atoms {
-            let lhs = abstract_term(&a.lhs, &mut instances);
-            let rhs = abstract_term(&a.rhs, &mut instances);
-            abstracted.push(Atom::new(lhs, a.op, rhs));
-        }
+        let abstracted: Vec<Atom> = lits
+            .iter()
+            .map(|l| {
+                let lhs = abstract_term(&l.atom.lhs, &mut instances);
+                let rhs = abstract_term(&l.atom.rhs, &mut instances);
+                Atom::new(lhs, l.atom.op, rhs)
+            })
+            .collect();
 
-        // Convert to linear constraints (dropping pure array equalities that
-        // carry no read — they cannot influence the integer variables).
-        let mut constraints: Vec<LinConstraint<VarRef>> = Vec::new();
-        for a in &abstracted {
-            match LinConstraint::from_atom(a) {
-                Ok(c) => constraints.push(c.tighten_for_integers()?),
-                Err(SmtError::SortMismatch { .. }) if is_pure_array_atom(a) => {}
-                Err(e) => return Err(e),
-            }
-        }
         // One tableau for the whole functionality search: the base
         // constraints are its shared prefix, and every branch of the lazy
         // functionality enforcement pushes its extra constraints, re-checks
         // warm from the prefix's feasible assignment, and pops — instead of
-        // rebuilding (and cold-resolving) the tableau per branch.
+        // rebuilding (and cold-resolving) the tableau per branch.  Pure
+        // array equalities that carry no read are dropped (they cannot
+        // influence the integer variables); `owners` keeps the deps of the
+        // atom behind each row.
         let mut tab: IncrementalSimplex<VarRef> = IncrementalSimplex::new();
-        for c in &constraints {
-            tab.push_constraint(c)?;
+        let mut owners: Vec<&Deps> = Vec::new();
+        for (a, l) in abstracted.iter().zip(lits) {
+            match LinConstraint::from_atom(a) {
+                Ok(c) => {
+                    tab.push_constraint(&c.tighten_for_integers()?)?;
+                    owners.push(&l.deps);
+                }
+                Err(SmtError::SortMismatch { .. }) if is_pure_array_atom(a) => {}
+                Err(e) => return Err(e),
+            }
         }
-        self.solve_with_functionality(&mut tab, &instances, budget, true)
+        budget.spend(Branch::Base)?;
+        if !tab.check_fresh()? {
+            let core = match tab.conflict_core() {
+                Some(rows) => Deps::union_all(rows.into_iter().map(|i| owners[i])),
+                None => everything(),
+            };
+            return Ok(Outcome::Unsat(core));
+        }
+        Ok(match self.enforce_functionality(&mut tab, &instances, budget)? {
+            Some(model) => Outcome::Sat(model),
+            None => Outcome::Unsat(everything()),
+        })
     }
 
-    fn solve_with_functionality(
+    /// Enforces functionality of the read instances lazily on a tableau
+    /// whose last check was feasible: finds a violated axiom in the current
+    /// model and splits on it, each branch pushing its constraints onto the
+    /// tableau, re-checking warm, and popping.
+    fn enforce_functionality(
         &self,
         tab: &mut IncrementalSimplex<VarRef>,
         instances: &[Instance],
-        budget: &Cell<usize>,
-        fresh: bool,
+        budget: &SplitBudget,
     ) -> SmtResult<Option<Model>> {
-        crate::cancel::check_ambient()?;
-        if budget.get() == 0 {
-            return Err(SmtError::Budget {
-                message: "case-split budget exhausted while enforcing functionality".into(),
-            });
-        }
-        budget.set(budget.get() - 1);
-        let sat = if fresh { tab.check_fresh()? } else { tab.check()? };
-        if !sat {
-            return Ok(None);
-        }
         let model = tab.model()?;
         let lookup = |v: &VarRef| model.get(v).copied().unwrap_or(Rat::ZERO);
         // Find a violated functionality axiom.
@@ -505,7 +522,7 @@ impl Solver {
                         LinExpr::var(a.result),
                         LinExpr::var(b.result),
                     )?)?;
-                    let found = self.solve_with_functionality(tab, instances, budget, false)?;
+                    let found = self.functionality_branch(tab, instances, budget)?;
                     tab.pop_to(cp)?;
                     if let Some(m) = found {
                         return Ok(Some(m));
@@ -523,7 +540,7 @@ impl Solver {
                             &LinConstraint::new(diff, crate::linexpr::ConstrOp::Lt)
                                 .tighten_for_integers()?,
                         )?;
-                        let found = self.solve_with_functionality(tab, instances, budget, false)?;
+                        let found = self.functionality_branch(tab, instances, budget)?;
                         tab.pop_to(cp)?;
                         if let Some(m) = found {
                             return Ok(Some(m));
@@ -534,6 +551,151 @@ impl Solver {
             }
         }
         Ok(Some(Model { values: model }))
+    }
+
+    /// Re-checks one functionality branch warm and, when it is feasible,
+    /// continues the enforcement inside it.
+    fn functionality_branch(
+        &self,
+        tab: &mut IncrementalSimplex<VarRef>,
+        instances: &[Instance],
+        budget: &SplitBudget,
+    ) -> SmtResult<Option<Model>> {
+        budget.spend(Branch::Functionality)?;
+        if !tab.check()? {
+            return Ok(None);
+        }
+        self.enforce_functionality(tab, instances, budget)
+    }
+}
+
+/// A set of split-decision ids — recursion depths of
+/// [`Solver::solve_atoms`] along the current path — as a bitset.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Deps(Vec<u64>);
+
+impl Deps {
+    fn contains(&self, id: usize) -> bool {
+        self.0.get(id / 64).is_some_and(|w| w & (1 << (id % 64)) != 0)
+    }
+
+    fn remove(&mut self, id: usize) {
+        if let Some(w) = self.0.get_mut(id / 64) {
+            *w &= !(1 << (id % 64));
+        }
+    }
+
+    /// This set plus `id`.
+    fn with(&self, id: usize) -> Deps {
+        let mut out = self.clone();
+        if out.0.len() <= id / 64 {
+            out.0.resize(id / 64 + 1, 0);
+        }
+        out.0[id / 64] |= 1 << (id % 64);
+        out
+    }
+
+    fn union_with(&mut self, other: &Deps) {
+        if self.0.len() < other.0.len() {
+            self.0.resize(other.0.len(), 0);
+        }
+        for (w, o) in self.0.iter_mut().zip(&other.0) {
+            *w |= o;
+        }
+    }
+
+    fn union_all<'a>(sets: impl IntoIterator<Item = &'a Deps>) -> Deps {
+        let mut out = Deps::default();
+        for s in sets {
+            out.union_with(s);
+        }
+        out
+    }
+}
+
+/// A ground atom with the split decisions that created or rewrote it.
+#[derive(Clone, Debug)]
+struct Lit {
+    atom: Atom,
+    deps: Deps,
+}
+
+impl Lit {
+    /// Rewrites the atom's terms with `f`; a changed atom now also depends
+    /// on `why`, the deps of the fact that justifies the rewrite.
+    fn rewrite(&self, f: &impl Fn(&Term) -> Term, why: &Deps) -> Lit {
+        let atom = self.atom.map_terms(f);
+        if atom == self.atom {
+            return self.clone();
+        }
+        let mut deps = self.deps.clone();
+        deps.union_with(why);
+        Lit { atom, deps }
+    }
+}
+
+/// Outcome of [`Solver::solve_atoms`] on one node of the split tree.
+enum Outcome {
+    Sat(Model),
+    /// Unsatisfiable, with the explanation: the decisions the refutation
+    /// depends on, all made above this node.  If the explanation excludes
+    /// an ancestor's decision, that ancestor is refuted too — every atom the
+    /// conflict uses existed (or followed from atoms that existed) before
+    /// the decision.
+    Unsat(Deps),
+}
+
+/// Kinds of branch that spend the case-split budget.
+#[derive(Clone, Copy)]
+enum Branch {
+    /// A theory check of a cube prefix, the root of a split tree.
+    Cube,
+    Disequality,
+    ReadOverWrite,
+    /// The cold tableau solve of a leaf of the split tree.
+    Base,
+    Functionality,
+}
+
+/// The case-split budget of one [`Solver::check`] call, shared by every
+/// layer that branches, with a tally of what spent it, so an exhaustion
+/// names the splits that consumed the budget rather than whichever layer
+/// happened to take the last unit.
+struct SplitBudget {
+    max: usize,
+    spent: [Cell<usize>; 5],
+}
+
+impl SplitBudget {
+    fn new(max: usize) -> SplitBudget {
+        SplitBudget { max, spent: Default::default() }
+    }
+
+    fn spend(&self, kind: Branch) -> SmtResult<()> {
+        crate::cancel::check_ambient()?;
+        if self.spent.iter().map(Cell::get).sum::<usize>() >= self.max {
+            return Err(self.exhausted());
+        }
+        let count = &self.spent[kind as usize];
+        count.set(count.get() + 1);
+        Ok(())
+    }
+
+    fn exhausted(&self) -> SmtError {
+        let n = |kind: Branch| self.spent[kind as usize].get();
+        SmtError::Budget {
+            message: format!(
+                "case-split budget of {} branches exhausted in the combined solver by {} \
+                 disequality, {} read-over-write and {} functionality splits (plus {} cube \
+                 checks and {} tableau solves)",
+                self.max,
+                n(Branch::Disequality),
+                n(Branch::ReadOverWrite),
+                n(Branch::Functionality),
+                n(Branch::Cube),
+                n(Branch::Base),
+            ),
+        }
     }
 }
 
@@ -575,7 +737,7 @@ impl CubeSearch {
         mut decided: Vec<Atom>,
         mut universals: Vec<(Vec<Symbol>, Formula)>,
         instantiated: bool,
-        budget: &Cell<usize>,
+        budget: &SplitBudget,
     ) -> SmtResult<Option<Model>> {
         let mut disjunctions: Vec<Vec<Formula>> = Vec::new();
         // Unit propagation to fixpoint.
@@ -704,7 +866,7 @@ impl CubeSearch {
         &mut self,
         solver: &Solver,
         decided: &[Atom],
-        budget: &Cell<usize>,
+        budget: &SplitBudget,
     ) -> SmtResult<Option<Model>> {
         let mut ids: Vec<u32> =
             decided.iter().map(|a| FormulaId::intern(&Formula::Atom(a.clone())).raw()).collect();
@@ -714,7 +876,11 @@ impl CubeSearch {
         if let Some(cached) = self.verdicts.get(&key) {
             return Ok(cached.clone());
         }
-        let result = solver.solve_atoms(decided.to_vec(), budget)?;
+        let lits = decided.iter().map(|a| Lit { atom: a.clone(), deps: Deps::default() }).collect();
+        let result = match solver.solve_atoms(lits, 0, budget, Branch::Cube)? {
+            Outcome::Sat(model) => Some(model),
+            Outcome::Unsat(_) => None,
+        };
         self.verdicts.insert(key, result.clone());
         Ok(result)
     }
@@ -785,37 +951,87 @@ fn cartesian(items: &[Term], n: usize) -> Vec<Vec<Term>> {
     out
 }
 
-/// A store definition `array_var = store(base, idx, val)`.
+/// The linear relaxation of a ground conjunction, decided with a single
+/// simplex call: disequalities are dropped, array reads and applications
+/// are abstracted by fresh variables (identical reads share one, a
+/// congruence-lite that costs nothing), and store structure is ignored.
+/// Every dropped or weakened constraint only *removes* information, so an
+/// infeasible relaxation refutes the original conjunction; its explanation
+/// is the union of the deps of the atoms in the Farkas certificate's
+/// support.  `None` says nothing.
+///
+/// Atoms outside the linear fragment (non-linear products, array-sorted
+/// equalities) are *skipped*, not errored: skipping only weakens the
+/// relaxation further, and the strict path must stay the sole source of
+/// `NonLinear` errors — it may legitimately refute such a cube through
+/// the congruence pre-filter without ever reaching the linear converter.
+///
+/// # Errors
+///
+/// Propagates arithmetic overflow.
+fn relaxation_conflict(lits: &[Lit]) -> SmtResult<Option<Deps>> {
+    let mut instances: Vec<Instance> = Vec::new();
+    let mut constraints: Vec<LinConstraint<VarRef>> = Vec::new();
+    let mut owners: Vec<&Deps> = Vec::new();
+    for l in lits {
+        let a = &l.atom;
+        if a.op == RelOp::Ne {
+            continue;
+        }
+        let lhs = abstract_term(&a.lhs, &mut instances);
+        let rhs = abstract_term(&a.rhs, &mut instances);
+        match LinConstraint::from_atom(&Atom::new(lhs, a.op, rhs)) {
+            Ok(c) => {
+                constraints.push(c.tighten_for_integers()?);
+                owners.push(&l.deps);
+            }
+            Err(SmtError::SortMismatch { .. } | SmtError::NonLinear { .. }) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(match lra_solve(&constraints)? {
+        LpResult::Sat(_) => None,
+        LpResult::Unsat(cert) => Some(Deps::union_all(
+            cert.multipliers.iter().zip(owners).filter(|(m, _)| !m.is_zero()).map(|(_, d)| d),
+        )),
+    })
+}
+
+/// A store definition `array_var = store(base, idx, val)`, with the deps of
+/// the atom it came from.
 #[derive(Clone, Debug)]
 struct StoreDef {
     var: VarRef,
     base: Term,
     idx: Term,
     val: Term,
+    deps: Deps,
 }
 
-fn defs_as_atoms(defs: &[StoreDef]) -> Vec<Atom> {
-    defs.iter()
-        .map(|d| {
-            Atom::new(
-                Term::Var(d.var),
+impl StoreDef {
+    fn to_lit(&self) -> Lit {
+        Lit {
+            atom: Atom::new(
+                Term::Var(self.var),
                 RelOp::Eq,
-                d.base.clone().store(d.idx.clone(), d.val.clone()),
-            )
-        })
-        .collect()
+                self.base.clone().store(self.idx.clone(), self.val.clone()),
+            ),
+            deps: self.deps.clone(),
+        }
+    }
 }
 
 /// Separates store definitions from the remaining atoms and applies array
-/// alias equalities (`a' = a`) by substitution.
-fn normalise_arrays(atoms: Vec<Atom>) -> SmtResult<(Vec<Atom>, Vec<StoreDef>)> {
+/// alias equalities (`a' = a`) by substitution; an atom or definition the
+/// substitution changes inherits the deps of the alias equality.
+fn normalise_arrays(lits: Vec<Lit>) -> (Vec<Lit>, Vec<StoreDef>) {
     // Determine which variables are array-like: they appear as the array
     // operand of a select/store or are equated to a store.
     let mut array_vars: BTreeSet<VarRef> = BTreeSet::new();
     let mut changed = true;
     while changed {
         changed = false;
-        for a in &atoms {
+        for Lit { atom: a, .. } in &lits {
             for side in [&a.lhs, &a.rhs] {
                 side.for_each(&mut |t| match t {
                     Term::Select(arr, _) | Term::Store(arr, _, _) => {
@@ -856,84 +1072,118 @@ fn normalise_arrays(atoms: Vec<Atom>) -> SmtResult<(Vec<Atom>, Vec<StoreDef>)> {
         }
     }
 
-    let mut work = atoms;
+    let mut work = lits;
     let mut defs: Vec<StoreDef> = Vec::new();
     loop {
         // Apply one alias equality between array variables.
-        let alias = work.iter().position(|a| {
-            a.op == RelOp::Eq
-                && matches!((&a.lhs, &a.rhs), (Term::Var(x), Term::Var(y))
+        let alias = work.iter().position(|l| {
+            l.atom.op == RelOp::Eq
+                && matches!((&l.atom.lhs, &l.atom.rhs), (Term::Var(x), Term::Var(y))
                     if array_vars.contains(x) && array_vars.contains(y) && x != y)
         });
         if let Some(pos) = alias {
-            let atom = work.remove(pos);
-            let (from, to) = match (&atom.lhs, &atom.rhs) {
+            let alias = work.remove(pos);
+            let (from, to) = match (&alias.atom.lhs, &alias.atom.rhs) {
                 (Term::Var(x), Term::Var(y)) => (*x, Term::Var(*y)),
                 _ => unreachable!("alias position checked"),
             };
-            work = work.into_iter().map(|a| a.map_terms(&|t| t.subst_var(from, &to))).collect();
-            defs = defs
-                .into_iter()
-                .map(|d| StoreDef {
-                    var: d.var,
-                    base: d.base.subst_var(from, &to),
-                    idx: d.idx.subst_var(from, &to),
-                    val: d.val.subst_var(from, &to),
-                })
-                .collect();
+            let subst = |t: &Term| t.subst_var(from, &to);
+            work = work.iter().map(|l| l.rewrite(&subst, &alias.deps)).collect();
+            for d in &mut defs {
+                let (base, idx, val) = (subst(&d.base), subst(&d.idx), subst(&d.val));
+                if (&base, &idx, &val) != (&d.base, &d.idx, &d.val) {
+                    (d.base, d.idx, d.val) = (base, idx, val);
+                    d.deps.union_with(&alias.deps);
+                }
+            }
             continue;
         }
         // Extract one store definition.
-        let def_pos = work.iter().position(|a| {
-            a.op == RelOp::Eq
-                && (matches!((&a.lhs, &a.rhs), (Term::Var(_), Term::Store(..)))
-                    || matches!((&a.lhs, &a.rhs), (Term::Store(..), Term::Var(_))))
+        let def_pos = work.iter().position(|l| {
+            l.atom.op == RelOp::Eq
+                && (matches!((&l.atom.lhs, &l.atom.rhs), (Term::Var(_), Term::Store(..)))
+                    || matches!((&l.atom.lhs, &l.atom.rhs), (Term::Store(..), Term::Var(_))))
         });
         if let Some(pos) = def_pos {
-            let atom = work.remove(pos);
-            let (var, store) = match (&atom.lhs, &atom.rhs) {
-                (Term::Var(v), s @ Term::Store(..)) => (*v, s.clone()),
-                (s @ Term::Store(..), Term::Var(v)) => (*v, s.clone()),
+            let Lit { atom, deps } = work.remove(pos);
+            let (var, store) = match (atom.lhs, atom.rhs) {
+                (Term::Var(v), s @ Term::Store(..)) | (s @ Term::Store(..), Term::Var(v)) => (v, s),
                 _ => unreachable!("definition position checked"),
             };
             let Term::Store(base, idx, val) = store else { unreachable!() };
-            defs.push(StoreDef { var, base: *base, idx: *idx, val: *val });
+            defs.push(StoreDef { var, base: *base, idx: *idx, val: *val, deps });
             continue;
         }
         break;
     }
-    Ok((work, defs))
+    (work, defs)
 }
 
-/// Finds a `select` whose array operand is (or is defined as) a store,
-/// returning `(the select term, base array, written index, written value)`.
-fn find_read_over_write(atoms: &[Atom], defs: &[StoreDef]) -> Option<(Term, Term, Term, Term)> {
-    let mut found: Option<(Term, Term, Term, Term)> = None;
-    for a in atoms {
-        for side in [&a.lhs, &a.rhs] {
+/// A read `target = select(arr, read_idx)` over a written array `arr`,
+/// which is (or is defined as) `store(base, idx, val)`.
+struct ReadOverWrite {
+    target: Term,
+    read_idx: Term,
+    base: Term,
+    idx: Term,
+    val: Term,
+    /// Deps of the store definition the read goes through (none for an
+    /// inline store).
+    deps: Deps,
+}
+
+impl ReadOverWrite {
+    /// The atoms of one branch of the split at `depth`.  On a hit the read
+    /// becomes the written value under `read_idx = idx`; on a miss it is
+    /// redirected to the base array under `read_idx != idx`.  Rewritten
+    /// atoms depend on the decision and on the store definition.
+    fn branch(&self, hit: bool, lits: &[Lit], defs: &[StoreDef], depth: usize) -> Vec<Lit> {
+        let (replacement, op) = if hit {
+            (self.val.clone(), RelOp::Eq)
+        } else {
+            (self.base.clone().select(self.read_idx.clone()), RelOp::Ne)
+        };
+        let why = self.deps.with(depth);
+        let mut branch: Vec<Lit> = lits
+            .iter()
+            .map(|l| l.rewrite(&|t| replace_subterm(t, &self.target, &replacement), &why))
+            .collect();
+        branch.push(Lit {
+            atom: Atom::new(self.read_idx.clone(), op, self.idx.clone()),
+            deps: Deps::default().with(depth),
+        });
+        branch.extend(defs.iter().map(StoreDef::to_lit));
+        branch
+    }
+}
+
+/// Finds the first `select` whose array operand is (or is defined as) a
+/// store.
+fn find_read_over_write(lits: &[Lit], defs: &[StoreDef]) -> Option<ReadOverWrite> {
+    let mut found: Option<ReadOverWrite> = None;
+    for l in lits {
+        for side in [&l.atom.lhs, &l.atom.rhs] {
             side.for_each(&mut |t| {
                 if found.is_some() {
                     return;
                 }
-                if let Term::Select(arr, _idx) = t {
-                    match arr.as_ref() {
-                        Term::Store(base, widx, wval) => {
-                            found = Some((
-                                t.clone(),
-                                (**base).clone(),
-                                (**widx).clone(),
-                                (**wval).clone(),
-                            ));
-                        }
-                        Term::Var(v) => {
-                            if let Some(d) = defs.iter().find(|d| d.var == *v) {
-                                found =
-                                    Some((t.clone(), d.base.clone(), d.idx.clone(), d.val.clone()));
-                            }
-                        }
-                        _ => {}
-                    }
-                }
+                let Term::Select(arr, read_idx) = t else { return };
+                let (base, idx, val, deps) = match arr.as_ref() {
+                    Term::Store(base, idx, val) => (&**base, &**idx, &**val, Deps::default()),
+                    Term::Var(v) => match defs.iter().find(|d| d.var == *v) {
+                        Some(d) => (&d.base, &d.idx, &d.val, d.deps.clone()),
+                        None => return,
+                    },
+                    _ => return,
+                };
+                found = Some(ReadOverWrite {
+                    target: t.clone(),
+                    read_idx: (**read_idx).clone(),
+                    base: base.clone(),
+                    idx: idx.clone(),
+                    val: val.clone(),
+                    deps,
+                });
             });
         }
         if found.is_some() {
@@ -1018,6 +1268,21 @@ fn instance_var(fun: String, args: Vec<Term>, instances: &mut Vec<Instance>) -> 
     let fresh = VarRef::cur(Symbol::fresh("rd"));
     instances.push(Instance { fun, args, result: fresh });
     Term::Var(fresh)
+}
+
+/// Returns `true` if an atom has no variables, reads or applications and
+/// evaluates to false.
+fn is_constant_false(a: &Atom) -> bool {
+    let mut ground = true;
+    for side in [&a.lhs, &a.rhs] {
+        side.for_each(&mut |t| {
+            ground &= !matches!(t, Term::Var(_) | Term::Bound(_) | Term::Select(..) | Term::App(..))
+        });
+    }
+    ground
+        && LinConstraint::<VarRef>::from_atom(a)
+            .and_then(|c| c.holds(&|_| Rat::ZERO))
+            .is_ok_and(|holds| !holds)
 }
 
 /// Returns `true` if an atom relates two array-sorted terms without reading
@@ -1281,6 +1546,86 @@ mod tests {
             Err(SmtError::Budget { .. }) => {}
             other => panic!("expected budget exhaustion, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn budget_message_counts_splits_by_kind() {
+        // Four disequalities with a satisfiable relaxation: the budget goes
+        // to the root cube check and to disequality splits only, and the
+        // message must say so instead of naming a layer that never branched.
+        let s = Solver::with_budget(3);
+        let f = F::and(["x", "y", "z", "w"].map(|v| F::ne(Term::var(v), Term::int(0))).to_vec());
+        let Err(SmtError::Budget { message }) = s.check(&f) else {
+            panic!("expected budget exhaustion");
+        };
+        assert!(
+            message.contains("by 2 disequality, 0 read-over-write and 0 functionality splits"),
+            "{message}"
+        );
+        assert!(message.contains("1 cube checks and 0 tableau solves"), "{message}");
+    }
+
+    /// `m` stores of 0 at the indices `0..m` into one array chain, and `r`
+    /// reads of the final array at free indices.  The first `r - 1` reads
+    /// are harmless (`>= 0`); the last one reads inside the written range
+    /// and claims a 1 there, which only its own case splits refute.
+    fn store_chain_with_reads(m: i128, r: usize) -> Formula {
+        let mut conjuncts = Vec::new();
+        for k in 1..=m {
+            conjuncts.push(F::eq(
+                Term::ivar("a", k as u32),
+                Term::ivar("a", k as u32 - 1).store(Term::int(k - 1), Term::int(0)),
+            ));
+        }
+        let last = Term::ivar("a", m as u32);
+        for q in 0..r - 1 {
+            let j = Term::var(format!("j{q}").as_str());
+            conjuncts.push(F::ge(last.clone().select(j), Term::int(0)));
+        }
+        let j = Term::var("jlast");
+        conjuncts.push(F::ge(j.clone(), Term::int(0)));
+        conjuncts.push(F::lt(j.clone(), Term::int(m)));
+        conjuncts.push(F::eq(last.select(j), Term::int(1)));
+        F::and(conjuncts)
+    }
+
+    #[test]
+    fn independent_reads_cost_a_sum_not_a_product() {
+        // Without backjumping every combination of the harmless reads'
+        // hit/miss outcomes is refuted separately: at least (m+1)^(r-1)
+        // leaves, far beyond the budget.  With it, each harmless read is
+        // split once and the conflict of the last read jumps over the rest.
+        let (m, r) = (6, 5);
+        let f = store_chain_with_reads(m, r);
+        let budget = 200;
+        assert!(budget * 80 < (m as usize + 1).pow(r as u32));
+        assert_eq!(Solver::with_budget(budget).check(&f).unwrap(), SatResult::Unsat);
+    }
+
+    #[test]
+    fn witness_after_a_backjumped_subtree_is_unchanged() {
+        // Two stores of 0 into `a`; the read at `x` must be at least 5, so
+        // it misses both stores, and the read at `y` is free.  The hit
+        // branch of the first split on `a2[x]` is refuted by `0 >= 5`, a
+        // conflict that does not mention the `a2[y]` splits made below it,
+        // so those are skipped; the witness lies in the miss branch.  The
+        // expected model is the one the solver returned before
+        // backjumping existed.
+        let f = F::and(vec![
+            F::ge(Term::ivar("a", 2).select(Term::var("x")), Term::int(5)),
+            F::ge(Term::ivar("a", 2).select(Term::var("y")), Term::int(0)),
+            F::eq(Term::ivar("a", 1), Term::ivar("a", 0).store(Term::var("i"), Term::int(0))),
+            F::eq(Term::ivar("a", 2), Term::ivar("a", 1).store(Term::var("k"), Term::int(0))),
+        ]);
+        // Without backjumping the search needs 47 branches; skipping the
+        // refuted subtree brings it to 11.
+        let SatResult::Sat(model) = Solver::with_budget(20).check(&f).unwrap() else {
+            panic!("satisfiable");
+        };
+        let expected: BTreeMap<VarRef, Rat> = [("x", -1), ("y", 0), ("i", 0), ("k", 0)]
+            .map(|(v, r)| (VarRef::cur(Symbol::intern(v)), Rat::int(r)))
+            .into();
+        assert_eq!(model.values, expected);
     }
 
     #[test]
