@@ -20,6 +20,7 @@ use pathinv_bench::{
     forward_with_cex, initcheck_with_cex, partition_with_ge_cex, partition_with_lt_cex,
 };
 use pathinv_cli::experiments::{run_bench, BenchConfig};
+use pathinv_cli::flags::{usage_error, Flags};
 use pathinv_core::{path_program, PathInvariantRefiner, Verdict, Verifier};
 use pathinv_invgen::PathInvariantGenerator;
 use pathinv_ir::{corpus, parse_program, Path, Program};
@@ -31,37 +32,23 @@ fn main() -> ExitCode {
     // Split flag/value pairs (for the bench experiment) from experiment ids.
     let mut ids: Vec<String> = Vec::new();
     let mut bench_config = BenchConfig::default();
-    let mut it = raw.iter();
-    while let Some(arg) = it.next() {
-        let mut value_for =
-            |flag: &str| it.next().cloned().ok_or_else(|| format!("{flag} requires a value"));
-        let parsed = match arg.as_str() {
-            "--bench-json" => value_for("--bench-json").map(|v| bench_config.bench_json = Some(v)),
-            "--bench-golden" => {
-                value_for("--bench-golden").map(|v| bench_config.bench_golden = Some(v))
-            }
-            "--check" => value_for("--check").map(|v| bench_config.check = Some(v)),
-            "--compare-previous" => {
-                value_for("--compare-previous").map(|v| bench_config.compare_previous = Some(v))
-            }
-            "--jobs" => value_for("--jobs").and_then(|v| {
-                v.parse::<usize>()
-                    .map(|n| bench_config.jobs = Some(n.max(1)))
-                    .map_err(|_| format!("bad --jobs `{v}`"))
-            }),
+    let parsed = Flags::each(&raw, |arg, flags| {
+        match arg {
+            "--bench-json" => bench_config.bench_json = Some(flags.value(arg)?),
+            "--bench-golden" => bench_config.bench_golden = Some(flags.value(arg)?),
+            "--check" => bench_config.check = Some(flags.value(arg)?),
+            "--compare-previous" => bench_config.compare_previous = Some(flags.value(arg)?),
+            "--jobs" => bench_config.jobs = Some(flags.positive(arg)?),
             // Reject unknown flags loudly: a typo like `--chck` must not be
             // swallowed as an experiment id, silently skipping the drift
             // check while exiting 0.
-            other if other.starts_with('-') => Err(format!("unknown option `{other}`")),
-            other => {
-                ids.push(other.to_string());
-                Ok(())
-            }
-        };
-        if let Err(msg) = parsed {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
+            other if other.starts_with('-') => return Err(format!("unknown option `{other}`")),
+            other => ids.push(other.to_string()),
         }
+        Ok(())
+    });
+    if let Err(msg) = parsed {
+        return usage_error(&msg, "");
     }
     let bench_flagged = bench_config.bench_json.is_some()
         || bench_config.bench_golden.is_some()

@@ -30,15 +30,12 @@
 //! exactly.  With `--json`, an availability artifact (jobs answered / jobs
 //! submitted, quarantine counts) is written for the trajectory record.
 
+use crate::harness::{temp_path, verify_request, Client, Daemon};
 use crate::isolate::{run_job_in_child, ChildRun};
-use crate::json::{self, Json};
-use crate::SCHEMA_VERSION;
+use crate::json::Json;
+use crate::{write_output, SCHEMA_VERSION};
 use pathinv_core::CancellationToken;
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 /// Options for one chaos run.
@@ -108,111 +105,11 @@ impl Rng {
 /// One line of the workload deck.
 enum Probe {
     /// An honest corpus job: `(id, program name, source)`.
-    Corpus(usize, String, String),
+    Corpus(i64, String, String),
     /// A hostile job: `(id, engine, source, timeout_ms)`.
-    Hostile(usize, &'static str, String, Option<u64>),
+    Hostile(i64, &'static str, String, Option<u64>),
     /// A malformed protocol line (no id, must yield one protocol error).
     Malformed(&'static str),
-}
-
-/// A spawned daemon; the `Drop` impl kills the process so a failing run
-/// never leaks daemons.
-struct Daemon {
-    child: Child,
-    socket: PathBuf,
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-fn temp_path(tag: &str) -> PathBuf {
-    static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    std::env::temp_dir().join(format!("pathinv-chaos-{}-{n}-{tag}", std::process::id()))
-}
-
-/// Spawns `pathinv-cli serve` (this same binary) with the supervision and
-/// chaos knobs, and waits for the socket.
-fn spawn_daemon(socket: &Path, cache: &Path, extra: &[&str]) -> Result<Daemon, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
-    let mut args = vec![
-        "serve".to_string(),
-        "--socket".to_string(),
-        socket.display().to_string(),
-        "--cache".to_string(),
-        cache.display().to_string(),
-    ];
-    args.extend(extra.iter().map(|s| s.to_string()));
-    let child = Command::new(exe)
-        .args(&args)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .spawn()
-        .map_err(|e| format!("cannot spawn daemon: {e}"))?;
-    let daemon = Daemon { child, socket: socket.to_path_buf() };
-    let start = Instant::now();
-    while !daemon.socket.exists() {
-        if start.elapsed() > Duration::from_secs(30) {
-            return Err("daemon did not create its socket within 30 s".to_string());
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    Ok(daemon)
-}
-
-/// One protocol connection.
-struct Client {
-    writer: UnixStream,
-    reader: BufReader<UnixStream>,
-}
-
-impl Client {
-    fn connect(socket: &Path) -> Result<Client, String> {
-        let stream = UnixStream::connect(socket)
-            .map_err(|e| format!("cannot connect to {}: {e}", socket.display()))?;
-        let reader =
-            BufReader::new(stream.try_clone().map_err(|e| format!("cannot clone stream: {e}"))?);
-        Ok(Client { writer: stream, reader })
-    }
-
-    fn send(&mut self, line: &str) -> Result<(), String> {
-        writeln!(self.writer, "{line}").map_err(|e| format!("send failed: {e}"))
-    }
-
-    fn recv(&mut self) -> Result<Json, String> {
-        let mut line = String::new();
-        match self.reader.read_line(&mut line) {
-            Ok(0) => Err("daemon closed the connection".to_string()),
-            Ok(_) => json::parse(line.trim()).map_err(|e| format!("bad response `{line}`: {e}")),
-            Err(e) => Err(format!("recv failed: {e}")),
-        }
-    }
-}
-
-fn verify_request(
-    id: usize,
-    name: &str,
-    source: &str,
-    engine: Option<&str>,
-    timeout_ms: Option<u64>,
-) -> String {
-    let mut fields = vec![
-        ("op", Json::Str("verify".to_string())),
-        ("id", Json::Int(id as i64)),
-        ("name", Json::Str(name.to_string())),
-        ("program", Json::Str(source.to_string())),
-    ];
-    if let Some(engine) = engine {
-        fields.push(("engine", Json::Str(engine.to_string())));
-    }
-    if let Some(ms) = timeout_ms {
-        fields.push(("timeout_ms", Json::Int(ms as i64)));
-    }
-    Json::object(fields).compact()
 }
 
 /// The reference: verdict and certificate digest per corpus program under
@@ -298,13 +195,16 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosStats, String> {
 
     let socket = temp_path("sock");
     let cache = temp_path("cache.journal");
+    let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
+    let (cache_arg, workers) = (cache.display().to_string(), opts.workers.to_string());
     let chaos_flag = format!("seed={}", opts.seed);
-    let workers = opts.workers.to_string();
     say(&format!("spawning daemon (seed {}, {} workers, process isolation)", opts.seed, workers));
-    let mut daemon = spawn_daemon(
+    let mut daemon = Daemon::spawn(
+        &exe,
         &socket,
-        &cache,
         &[
+            "--cache",
+            &cache_arg,
             "--workers",
             &workers,
             "--isolate",
@@ -331,17 +231,13 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosStats, String> {
         match probe {
             Probe::Corpus(id, name, source) => {
                 expected_ids.push(*id);
-                client.send(&verify_request(*id, name, source, None, None))?;
+                client.send(&verify_request(*id, name, source, &[]))?;
             }
             Probe::Hostile(id, engine, source, timeout_ms) => {
                 expected_ids.push(*id);
-                client.send(&verify_request(
-                    *id,
-                    &format!("probe-{id}"),
-                    source,
-                    Some(engine),
-                    *timeout_ms,
-                ))?;
+                let mut extra = vec![("engine", Json::Str(engine.to_string()))];
+                extra.extend(timeout_ms.map(|ms| ("timeout_ms", Json::Int(ms as i64))));
+                client.send(&verify_request(*id, &format!("probe-{id}"), source, &extra))?;
             }
             Probe::Malformed(line) => {
                 malformed += 1;
@@ -381,7 +277,7 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosStats, String> {
     }
 
     // 1. The daemon is still alive after the whole workload.
-    if let Some(status) = daemon.child.try_wait().map_err(|e| format!("daemon wait: {e}"))? {
+    if let Ok(status) = daemon.wait_exit(Duration::ZERO) {
         return Err(format!("the daemon died under chaos: {status:?}"));
     }
 
@@ -399,8 +295,7 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosStats, String> {
     };
     for probe in &deck {
         let Some(id) = id_of(probe) else { continue };
-        let response =
-            responses.get(&(id as i64)).ok_or_else(|| format!("id {id} was never answered"))?;
+        let response = responses.get(&id).ok_or_else(|| format!("id {id} was never answered"))?;
         let status = response.get("status").and_then(Json::as_str).unwrap_or("?");
         match status {
             "done" => {}
@@ -445,18 +340,18 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosStats, String> {
     // a `quarantined` fast-fail must arrive within a bounded number of
     // consecutive faults, whatever breaker state the deck left behind.
     let mut wave_quarantined = 0u64;
-    for wave in 0..8 {
+    let abort_shim = [("engine", Json::Str("abort-shim".to_string()))];
+    for wave in 0..8i64 {
         let id = 1_000 + wave;
         stats.submitted += 1;
         client.send(&verify_request(
             id,
             &format!("breaker-wave-{wave}"),
             &corpus[0].1,
-            Some("abort-shim"),
-            None,
+            &abort_shim,
         ))?;
         let response = client.recv()?;
-        if response.get("id").and_then(Json::as_int) != Some(id as i64) {
+        if response.get("id").and_then(Json::as_int) != Some(id) {
             return Err(format!("breaker wave: response for the wrong id: {response:?}"));
         }
         stats.answered += 1;
@@ -496,18 +391,7 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosStats, String> {
         return Err(format!("expected a shutdown acknowledgement, got {ack:?}"));
     }
     drop(client);
-    let start = Instant::now();
-    let exit = loop {
-        if let Some(status) =
-            daemon.child.try_wait().map_err(|e| format!("daemon wait failed: {e}"))?
-        {
-            break status;
-        }
-        if start.elapsed() > Duration::from_secs(60) {
-            return Err("daemon did not exit after the shutdown op".to_string());
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    };
+    let exit = daemon.wait_exit(Duration::from_secs(60))?;
     if exit.code() != Some(0) {
         return Err(format!("chaos drain must exit 0, got {exit:?}"));
     }
@@ -515,10 +399,10 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosStats, String> {
 
     // 5. Warm restart, chaos off, over the (possibly torn) journal.
     let socket2 = temp_path("sock2");
-    let daemon2 = spawn_daemon(&socket2, &cache, &["--workers", &workers])?;
+    let daemon2 = Daemon::spawn(&exe, &socket2, &["--cache", &cache_arg, "--workers", &workers])?;
     let mut client2 = Client::connect(&socket2)?;
     for (i, (name, source)) in corpus.iter().enumerate() {
-        client2.send(&verify_request(i, name, source, None, None))?;
+        client2.send(&verify_request(i as i64, name, source, &[]))?;
     }
     let mut seen = 0;
     while seen < corpus.len() {
@@ -556,13 +440,8 @@ pub fn run_chaos(opts: &ChaosOptions) -> Result<ChaosStats, String> {
             ("workers_respawned", Json::Int(respawned)),
             ("availability", Json::Float((stats.availability() * 1e4).round() / 1e4)),
         ]);
-        let text = report.pretty();
-        if path == "-" {
-            print!("{text}");
-        } else {
-            std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-            say(&format!("availability artifact written to {path}"));
-        }
+        write_output(path, &report.pretty())?;
+        say(&format!("availability artifact written to {path}"));
     }
 
     std::fs::remove_file(&cache).ok();

@@ -36,7 +36,9 @@ pub mod cache;
 pub mod chaos;
 pub mod differential;
 pub mod experiments;
+pub mod flags;
 pub mod fuzz;
+pub mod harness;
 pub mod isolate;
 pub mod race;
 pub mod serve;
@@ -62,6 +64,19 @@ use json::Json;
 /// to diverge on the interesting programs; a modest bound keeps batch runs
 /// fast while still distinguishing "settled quickly" from "gave up".
 pub const DEFAULT_BASELINE_REFINEMENTS: usize = 6;
+
+/// Writes a report to `path`, where `-` means stdout.
+///
+/// # Errors
+///
+/// `cannot write {path}: {e}` when the file cannot be written.
+pub fn write_output(path: &str, text: &str) -> Result<(), String> {
+    if path == "-" {
+        print!("{text}");
+        return Ok(());
+    }
+    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
+}
 
 /// One unit of work: a named program verified with one engine.
 pub struct BatchTask {
@@ -214,13 +229,14 @@ pub fn load_pinv_file(path: &str) -> Result<(String, Program), String> {
 }
 
 /// Which refiners the CEGAR tasks of a batch run exercise.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RefinerChoice {
     /// Only the paper's path-invariant refiner.
     PathInvariants,
     /// Only the finite-path baseline.
     PathPredicates,
     /// Both, as separate tasks per program.
+    #[default]
     Both,
 }
 
@@ -238,9 +254,10 @@ impl RefinerChoice {
 }
 
 /// Which engines a batch run exercises.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineChoice {
     /// Only the CEGAR driver (refiners per [`RefinerChoice`]).
+    #[default]
     Cegar,
     /// Only the bounded model checker.
     Bmc,

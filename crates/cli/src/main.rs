@@ -8,9 +8,11 @@
 //! and fail on any disagreement.
 
 use pathinv_cli::differential::DifferentialReport;
+use pathinv_cli::flags::{usage_error, Flags};
 use pathinv_cli::trajectory::trajectory_from_cached;
 use pathinv_cli::{
-    corpus_programs, load_pinv_file, make_tasks, run_batch, EngineChoice, RefinerChoice,
+    corpus_programs, load_pinv_file, make_tasks, run_batch, write_output, EngineChoice,
+    RefinerChoice,
 };
 use std::process::ExitCode;
 
@@ -167,6 +169,7 @@ EXIT STATUS:
     2  usage error
 ";
 
+#[derive(Default)]
 struct Options {
     all: bool,
     files: Vec<String>,
@@ -190,34 +193,15 @@ fn default_jobs() -> usize {
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        all: false,
-        files: Vec::new(),
-        engines: EngineChoice::Cegar,
-        choice: RefinerChoice::Both,
-        max_refinements: None,
-        beam_workers: None,
-        race: false,
-        certify: false,
-        timeout_ms: None,
-        jobs: default_jobs(),
-        json_path: None,
-        golden_path: None,
-        no_cache: false,
-        bless: false,
-        quiet: false,
-    };
+    let mut opts = Options { jobs: default_jobs(), ..Options::default() };
     let mut engine_set = false;
     let mut refiner_set = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_for =
-            |flag: &str| it.next().cloned().ok_or_else(|| format!("{flag} requires a value"));
-        match arg.as_str() {
+    Flags::each(args, |arg, flags| {
+        match arg {
             "--all" => opts.all = true,
             "--quiet" => opts.quiet = true,
             "--engine" => {
-                opts.engines = match value_for("--engine")?.as_str() {
+                opts.engines = match flags.value(arg)?.as_str() {
                     "cegar" => EngineChoice::Cegar,
                     "bmc" => EngineChoice::Bmc,
                     "pdr" => EngineChoice::Pdr,
@@ -227,7 +211,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 engine_set = true;
             }
             "--refiner" => {
-                opts.choice = match value_for("--refiner")?.as_str() {
+                opts.choice = match flags.value(arg)?.as_str() {
                     "path-invariants" => RefinerChoice::PathInvariants,
                     "path-predicates" => RefinerChoice::PathPredicates,
                     "both" => RefinerChoice::Both,
@@ -235,48 +219,22 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 };
                 refiner_set = true;
             }
-            "--max-refinements" => {
-                let v = value_for("--max-refinements")?;
-                opts.max_refinements =
-                    Some(v.parse().map_err(|_| format!("bad --max-refinements `{v}`"))?);
-            }
-            "--beam-workers" => {
-                let v = value_for("--beam-workers")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --beam-workers `{v}`"))?;
-                if n == 0 {
-                    return Err("--beam-workers must be at least 1".to_string());
-                }
-                opts.beam_workers = Some(n);
-            }
+            "--max-refinements" => opts.max_refinements = Some(flags.num(arg)?),
+            "--beam-workers" => opts.beam_workers = Some(flags.positive(arg)?),
             "--race" => opts.race = true,
             "--certify" => opts.certify = true,
-            "--timeout-ms" => {
-                let v = value_for("--timeout-ms")?;
-                let ms: u64 = v.parse().map_err(|_| format!("bad --timeout-ms `{v}`"))?;
-                if ms == 0 {
-                    return Err("--timeout-ms must be at least 1".to_string());
-                }
-                opts.timeout_ms = Some(ms);
-            }
-            "--jobs" => {
-                let v = value_for("--jobs")?;
-                let n: usize = v.parse().map_err(|_| format!("bad --jobs `{v}`"))?;
-                if n == 0 {
-                    return Err("--jobs must be at least 1".to_string());
-                }
-                opts.jobs = n;
-            }
-            "--json" => opts.json_path = Some(value_for("--json")?),
-            "--golden" => opts.golden_path = Some(value_for("--golden")?),
+            "--timeout-ms" => opts.timeout_ms = Some(flags.positive(arg)?),
+            "--jobs" => opts.jobs = flags.positive(arg)?,
+            "--json" => opts.json_path = Some(flags.value(arg)?),
+            "--golden" => opts.golden_path = Some(flags.value(arg)?),
             "--no-cache" => opts.no_cache = true,
             "--bless" => opts.bless = true,
             "--help" | "-h" => return Err(String::new()),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option `{other}`"));
-            }
+            other if other.starts_with('-') => return Err(format!("unknown option `{other}`")),
             file => opts.files.push(file.to_string()),
         }
-    }
+        Ok(())
+    })?;
     if matches!(opts.engines, EngineChoice::Bmc | EngineChoice::Pdr) {
         // Refiner-related flags would be silently meaningless without CEGAR
         // tasks; reject them instead of ignoring them.
@@ -510,11 +468,8 @@ fn race_main(
         print!("{}", report.render_table());
     }
     if let Some(path) = &opts.json_path {
-        let text = report.to_json().pretty();
-        if path == "-" {
-            print!("{text}");
-        } else if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: cannot write {path}: {e}");
+        if let Err(msg) = write_output(path, &report.to_json().pretty()) {
+            eprintln!("error: {msg}");
             return ExitCode::FAILURE;
         }
     }
@@ -541,28 +496,28 @@ fn race_main(
 /// The `trajectory --history` subcommand: render every committed
 /// `BENCH_*.json` point in the given directory as one table.
 fn trajectory_history(args: &[String]) -> ExitCode {
-    let mut dir: Option<String> = None;
+    let mut dir = None;
     let mut history = false;
-    for arg in args {
-        match arg.as_str() {
+    let parsed = Flags::each(args, |arg, _| {
+        match arg {
             "--history" => history = true,
             other if other.starts_with('-') => {
-                eprintln!("error: unknown trajectory option `{other}`\n\n{USAGE}");
-                return ExitCode::from(2);
+                return Err(format!("unknown trajectory option `{other}`"));
             }
-            path => {
-                if dir.replace(path.to_string()).is_some() {
-                    eprintln!("error: trajectory takes at most one directory\n\n{USAGE}");
-                    return ExitCode::from(2);
-                }
+            path if dir.replace(path).is_some() => {
+                return Err("trajectory takes at most one directory".to_string());
             }
+            _ => {}
         }
+        Ok(())
+    });
+    if let Err(msg) = parsed {
+        return usage_error(&msg, USAGE);
     }
     if !history {
-        eprintln!("error: the trajectory subcommand requires --history\n\n{USAGE}");
-        return ExitCode::from(2);
+        return usage_error("the trajectory subcommand requires --history", USAGE);
     }
-    let dir = std::path::PathBuf::from(dir.unwrap_or_else(|| ".".to_string()));
+    let dir = std::path::PathBuf::from(dir.unwrap_or("."));
     match pathinv_cli::trajectory::collect_history(&dir) {
         Ok(points) if points.is_empty() => {
             eprintln!("error: no BENCH_*.json trajectory points found in {}", dir.display());
@@ -583,72 +538,35 @@ fn trajectory_history(args: &[String]) -> ExitCode {
 /// cross-checking; exits 1 on any finding.
 fn fuzz_main(args: &[String]) -> ExitCode {
     let mut opts = pathinv_cli::fuzz::FuzzOptions { jobs: default_jobs(), ..Default::default() };
-    let mut json_path: Option<String> = None;
+    let mut json_path = None;
     let mut reproducer_dir: Option<String> = None;
     let mut quiet = false;
-    let mut it = args.iter();
-    let mut parse = || -> Result<(), String> {
-        while let Some(arg) = it.next() {
-            let mut value_for =
-                |flag: &str| it.next().cloned().ok_or_else(|| format!("{flag} requires a value"));
-            match arg.as_str() {
-                "--seed" => {
-                    let v = value_for("--seed")?;
-                    opts.seed = v.parse().map_err(|_| format!("bad --seed `{v}`"))?;
-                }
-                "--count" => {
-                    let v = value_for("--count")?;
-                    opts.count = v.parse().map_err(|_| format!("bad --count `{v}`"))?;
-                }
-                "--jobs" => {
-                    let v = value_for("--jobs")?;
-                    let n: usize = v.parse().map_err(|_| format!("bad --jobs `{v}`"))?;
-                    if n == 0 {
-                        return Err("--jobs must be at least 1".to_string());
-                    }
-                    opts.jobs = n;
-                }
-                "--cache-sample" => {
-                    let v = value_for("--cache-sample")?;
-                    opts.cache_sample =
-                        v.parse().map_err(|_| format!("bad --cache-sample `{v}`"))?;
-                }
-                "--shrink-budget" => {
-                    let v = value_for("--shrink-budget")?;
-                    opts.shrink_budget =
-                        v.parse().map_err(|_| format!("bad --shrink-budget `{v}`"))?;
-                }
-                "--timeout-ms" => {
-                    let v = value_for("--timeout-ms")?;
-                    let ms: u64 = v.parse().map_err(|_| format!("bad --timeout-ms `{v}`"))?;
-                    if ms == 0 {
-                        return Err("--timeout-ms must be at least 1".to_string());
-                    }
-                    opts.timeout_ms = Some(ms);
-                }
-                "--json" => json_path = Some(value_for("--json")?),
-                "--reproducers" => reproducer_dir = Some(value_for("--reproducers")?),
-                "--certify" => opts.certify = true,
-                "--quiet" => quiet = true,
-                other => return Err(format!("unknown fuzz option `{other}`")),
-            }
+    let parsed = Flags::each(args, |arg, flags| {
+        match arg {
+            "--seed" => opts.seed = flags.num(arg)?,
+            "--count" => opts.count = flags.num(arg)?,
+            "--jobs" => opts.jobs = flags.positive(arg)?,
+            "--cache-sample" => opts.cache_sample = flags.num(arg)?,
+            "--shrink-budget" => opts.shrink_budget = flags.num(arg)?,
+            "--timeout-ms" => opts.timeout_ms = Some(flags.positive(arg)?),
+            "--json" => json_path = Some(flags.value(arg)?),
+            "--reproducers" => reproducer_dir = Some(flags.value(arg)?),
+            "--certify" => opts.certify = true,
+            "--quiet" => quiet = true,
+            other => return Err(format!("unknown fuzz option `{other}`")),
         }
         Ok(())
-    };
-    if let Err(msg) = parse() {
-        eprintln!("error: {msg}\n\n{USAGE}");
-        return ExitCode::from(2);
+    });
+    if let Err(msg) = parsed {
+        return usage_error(&msg, USAGE);
     }
     let report = pathinv_cli::fuzz::run_fuzz(&opts);
     if !quiet {
         print!("{}", report.render_summary());
     }
     if let Some(path) = &json_path {
-        let text = report.to_json().pretty();
-        if path == "-" {
-            print!("{text}");
-        } else if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: cannot write {path}: {e}");
+        if let Err(msg) = write_output(path, &report.to_json().pretty()) {
+            eprintln!("error: {msg}");
             return ExitCode::FAILURE;
         }
     }
@@ -680,102 +598,42 @@ fn fuzz_main(args: &[String]) -> ExitCode {
 
 /// The `serve` subcommand: parse the daemon flags and run until drained.
 fn serve_main(args: &[String]) -> ExitCode {
-    let mut config = pathinv_cli::serve::ServeConfig::default();
-    let mut it = args.iter();
-    let mut parse = || -> Result<(), String> {
-        while let Some(arg) = it.next() {
-            let mut value_for =
-                |flag: &str| it.next().cloned().ok_or_else(|| format!("{flag} requires a value"));
-            match arg.as_str() {
-                "--socket" => config.socket = Some(value_for("--socket")?.into()),
-                "--cache" => config.cache_path = Some(value_for("--cache")?.into()),
-                "--workers" => {
-                    let v = value_for("--workers")?;
-                    let n: usize = v.parse().map_err(|_| format!("bad --workers `{v}`"))?;
-                    if n == 0 {
-                        return Err("--workers must be at least 1".to_string());
-                    }
-                    config.workers = n;
+    use pathinv_cli::serve::{ChaosConfig, IsolationMode, ServeConfig};
+    let mut config = ServeConfig::default();
+    let parsed = Flags::each(args, |arg, flags| {
+        match arg {
+            "--socket" => config.socket = Some(flags.value(arg)?.into()),
+            "--cache" => config.cache_path = Some(flags.value(arg)?.into()),
+            "--workers" => config.workers = flags.positive(arg)?,
+            "--queue" => config.queue_capacity = flags.positive(arg)?,
+            "--timeout-ms" => config.default_timeout_ms = Some(flags.positive(arg)?),
+            "--drain-grace-ms" => config.drain_grace_ms = flags.num(arg)?,
+            "--isolate" => {
+                config.isolation = match flags.value(arg)?.as_str() {
+                    "thread" => IsolationMode::Thread,
+                    "process" => IsolationMode::Process,
+                    other => return Err(format!("unknown --isolate mode `{other}`")),
                 }
-                "--queue" => {
-                    let v = value_for("--queue")?;
-                    let n: usize = v.parse().map_err(|_| format!("bad --queue `{v}`"))?;
-                    if n == 0 {
-                        return Err("--queue must be at least 1".to_string());
-                    }
-                    config.queue_capacity = n;
-                }
-                "--timeout-ms" => {
-                    let v = value_for("--timeout-ms")?;
-                    let ms: u64 = v.parse().map_err(|_| format!("bad --timeout-ms `{v}`"))?;
-                    if ms == 0 {
-                        return Err("--timeout-ms must be at least 1".to_string());
-                    }
-                    config.default_timeout_ms = Some(ms);
-                }
-                "--drain-grace-ms" => {
-                    let v = value_for("--drain-grace-ms")?;
-                    config.drain_grace_ms =
-                        v.parse().map_err(|_| format!("bad --drain-grace-ms `{v}`"))?;
-                }
-                "--isolate" => {
-                    config.isolation = match value_for("--isolate")?.as_str() {
-                        "thread" => pathinv_cli::serve::IsolationMode::Thread,
-                        "process" => pathinv_cli::serve::IsolationMode::Process,
-                        other => return Err(format!("unknown --isolate mode `{other}`")),
-                    };
-                }
-                "--retries" => {
-                    let v = value_for("--retries")?;
-                    config.max_retries = v.parse().map_err(|_| format!("bad --retries `{v}`"))?;
-                }
-                "--retry-backoff-ms" => {
-                    let v = value_for("--retry-backoff-ms")?;
-                    let ms: u64 = v.parse().map_err(|_| format!("bad --retry-backoff-ms `{v}`"))?;
-                    if ms == 0 {
-                        return Err("--retry-backoff-ms must be at least 1".to_string());
-                    }
-                    config.retry_backoff_ms = ms;
-                }
-                "--breaker-threshold" => {
-                    let v = value_for("--breaker-threshold")?;
-                    config.breaker_threshold =
-                        v.parse().map_err(|_| format!("bad --breaker-threshold `{v}`"))?;
-                }
-                "--breaker-cooldown-ms" => {
-                    let v = value_for("--breaker-cooldown-ms")?;
-                    let ms: u64 =
-                        v.parse().map_err(|_| format!("bad --breaker-cooldown-ms `{v}`"))?;
-                    if ms == 0 {
-                        return Err("--breaker-cooldown-ms must be at least 1".to_string());
-                    }
-                    config.breaker_cooldown_ms = ms;
-                }
-                "--cache-compact-bytes" => {
-                    let v = value_for("--cache-compact-bytes")?;
-                    let bytes: u64 =
-                        v.parse().map_err(|_| format!("bad --cache-compact-bytes `{v}`"))?;
-                    if bytes == 0 {
-                        return Err("--cache-compact-bytes must be at least 1".to_string());
-                    }
-                    config.cache_compact_bytes = Some(bytes);
-                }
-                "--chaos" => {
-                    let v = value_for("--chaos")?;
-                    let seed = v
-                        .strip_prefix("seed=")
-                        .and_then(|s| s.parse().ok())
-                        .ok_or_else(|| format!("bad --chaos `{v}` (expected seed=<N>)"))?;
-                    config.chaos = Some(pathinv_cli::serve::ChaosConfig::from_seed(seed));
-                }
-                other => return Err(format!("unknown serve option `{other}`")),
             }
+            "--retries" => config.max_retries = flags.num(arg)?,
+            "--retry-backoff-ms" => config.retry_backoff_ms = flags.positive(arg)?,
+            "--breaker-threshold" => config.breaker_threshold = flags.num(arg)?,
+            "--breaker-cooldown-ms" => config.breaker_cooldown_ms = flags.positive(arg)?,
+            "--cache-compact-bytes" => config.cache_compact_bytes = Some(flags.positive(arg)?),
+            "--chaos" => {
+                let v = flags.value(arg)?;
+                let seed = v
+                    .strip_prefix("seed=")
+                    .and_then(|s| s.parse().ok())
+                    .ok_or_else(|| format!("bad --chaos `{v}` (expected seed=<N>)"))?;
+                config.chaos = Some(ChaosConfig::from_seed(seed));
+            }
+            other => return Err(format!("unknown serve option `{other}`")),
         }
         Ok(())
-    };
-    if let Err(msg) = parse() {
-        eprintln!("error: {msg}\n\n{USAGE}");
-        return ExitCode::from(2);
+    });
+    if let Err(msg) = parsed {
+        return usage_error(&msg, USAGE);
     }
     match pathinv_cli::serve::run_serve(&config) {
         Ok(0) => ExitCode::SUCCESS,
@@ -790,30 +648,17 @@ fn serve_main(args: &[String]) -> ExitCode {
 /// The `serve-smoke` subcommand: the end-to-end daemon robustness scenario.
 fn serve_smoke_main(args: &[String]) -> ExitCode {
     let mut opts = pathinv_cli::smoke::SmokeOptions::default();
-    let mut it = args.iter();
-    let mut parse = || -> Result<(), String> {
-        while let Some(arg) = it.next() {
-            let mut value_for =
-                |flag: &str| it.next().cloned().ok_or_else(|| format!("{flag} requires a value"));
-            match arg.as_str() {
-                "--json" => opts.json_path = Some(value_for("--json")?),
-                "--workers" => {
-                    let v = value_for("--workers")?;
-                    let n: usize = v.parse().map_err(|_| format!("bad --workers `{v}`"))?;
-                    if n == 0 {
-                        return Err("--workers must be at least 1".to_string());
-                    }
-                    opts.workers = n;
-                }
-                "--quiet" => opts.verbose = false,
-                other => return Err(format!("unknown serve-smoke option `{other}`")),
-            }
+    let parsed = Flags::each(args, |arg, flags| {
+        match arg {
+            "--json" => opts.json_path = Some(flags.value(arg)?),
+            "--workers" => opts.workers = flags.positive(arg)?,
+            "--quiet" => opts.verbose = false,
+            other => return Err(format!("unknown serve-smoke option `{other}`")),
         }
         Ok(())
-    };
-    if let Err(msg) = parse() {
-        eprintln!("error: {msg}\n\n{USAGE}");
-        return ExitCode::from(2);
+    });
+    if let Err(msg) = parsed {
+        return usage_error(&msg, USAGE);
     }
     match pathinv_cli::smoke::run_serve_smoke(&opts) {
         Ok(()) => {
@@ -830,34 +675,18 @@ fn serve_smoke_main(args: &[String]) -> ExitCode {
 /// The `chaos-smoke` subcommand: the seeded fault-injection scenario.
 fn chaos_smoke_main(args: &[String]) -> ExitCode {
     let mut opts = pathinv_cli::chaos::ChaosOptions::default();
-    let mut it = args.iter();
-    let mut parse = || -> Result<(), String> {
-        while let Some(arg) = it.next() {
-            let mut value_for =
-                |flag: &str| it.next().cloned().ok_or_else(|| format!("{flag} requires a value"));
-            match arg.as_str() {
-                "--seed" => {
-                    let v = value_for("--seed")?;
-                    opts.seed = v.parse().map_err(|_| format!("bad --seed `{v}`"))?;
-                }
-                "--json" => opts.json_path = Some(value_for("--json")?),
-                "--workers" => {
-                    let v = value_for("--workers")?;
-                    let n: usize = v.parse().map_err(|_| format!("bad --workers `{v}`"))?;
-                    if n == 0 {
-                        return Err("--workers must be at least 1".to_string());
-                    }
-                    opts.workers = n;
-                }
-                "--quiet" => opts.verbose = false,
-                other => return Err(format!("unknown chaos-smoke option `{other}`")),
-            }
+    let parsed = Flags::each(args, |arg, flags| {
+        match arg {
+            "--seed" => opts.seed = flags.num(arg)?,
+            "--json" => opts.json_path = Some(flags.value(arg)?),
+            "--workers" => opts.workers = flags.positive(arg)?,
+            "--quiet" => opts.verbose = false,
+            other => return Err(format!("unknown chaos-smoke option `{other}`")),
         }
         Ok(())
-    };
-    if let Err(msg) = parse() {
-        eprintln!("error: {msg}\n\n{USAGE}");
-        return ExitCode::from(2);
+    });
+    if let Err(msg) = parsed {
+        return usage_error(&msg, USAGE);
     }
     match pathinv_cli::chaos::run_chaos(&opts) {
         Ok(stats) => {
@@ -878,26 +707,20 @@ fn chaos_smoke_main(args: &[String]) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("run-one-job") {
+    let rest = args.get(1..).unwrap_or_default();
+    match args.first().map(String::as_str) {
         // The hidden process-isolation entrypoint: one job over pipes.
         // Dispatched before anything else so a supervised child can never
         // fall into the interactive argument parser.
-        return ExitCode::from(pathinv_cli::isolate::run_one_job_main() as u8);
-    }
-    if args.first().map(String::as_str) == Some("trajectory") {
-        return trajectory_history(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("fuzz") {
-        return fuzz_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("serve") {
-        return serve_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("serve-smoke") {
-        return serve_smoke_main(&args[1..]);
-    }
-    if args.first().map(String::as_str) == Some("chaos-smoke") {
-        return chaos_smoke_main(&args[1..]);
+        Some("run-one-job") => {
+            return ExitCode::from(pathinv_cli::isolate::run_one_job_main() as u8);
+        }
+        Some("trajectory") => return trajectory_history(rest),
+        Some("fuzz") => return fuzz_main(rest),
+        Some("serve") => return serve_main(rest),
+        Some("serve-smoke") => return serve_smoke_main(rest),
+        Some("chaos-smoke") => return chaos_smoke_main(rest),
+        _ => {}
     }
     let opts = match parse_args(&args) {
         Ok(opts) => opts,
@@ -906,8 +729,7 @@ fn main() -> ExitCode {
                 print!("{USAGE}");
                 return ExitCode::SUCCESS;
             }
-            eprintln!("error: {msg}\n\n{USAGE}");
-            return ExitCode::from(2);
+            return usage_error(&msg, USAGE);
         }
     };
 
@@ -973,20 +795,14 @@ fn main() -> ExitCode {
         if let (Some(diff), pathinv_cli::json::Json::Object(fields)) = (&differential, &mut doc) {
             fields.push(("differential".to_string(), diff.to_json()));
         }
-        let text = doc.pretty();
-        if path == "-" {
-            print!("{text}");
-        } else if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: cannot write {path}: {e}");
+        if let Err(msg) = write_output(path, &doc.pretty()) {
+            eprintln!("error: {msg}");
             return ExitCode::FAILURE;
         }
     }
     if let Some(path) = &opts.golden_path {
-        let text = report.to_golden_json().pretty();
-        if path == "-" {
-            print!("{text}");
-        } else if let Err(e) = std::fs::write(path, text) {
-            eprintln!("error: cannot write {path}: {e}");
+        if let Err(msg) = write_output(path, &report.to_golden_json().pretty()) {
+            eprintln!("error: {msg}");
             return ExitCode::FAILURE;
         }
     }

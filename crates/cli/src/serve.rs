@@ -61,8 +61,8 @@ use crate::cache::{CacheChaos, VerdictCache};
 use crate::isolate::{run_job_in_child, ChildRun};
 use crate::json::{self, Json};
 use pathinv_core::{
-    job_fingerprint, run_job, CancellationToken, CegarConfig, EngineSpec, JobOutcome, JobSpec,
-    VerifierStats,
+    job_fingerprint, run_job, CancellationToken, CegarConfig, EngineSpec, FaultShim, JobOutcome,
+    JobSpec, VerifierStats,
 };
 use pathinv_ir::{parse_program, Program};
 use pathinv_report::{round3, TaskReport, SCHEMA_VERSION};
@@ -970,12 +970,9 @@ pub fn engine_spec_named(engine: &str, refiner: Option<&str>) -> Result<EngineSp
         ("cegar", Some(other)) => Err(format!("unknown refiner `{other}`")),
         ("bmc", _) => Ok(EngineSpec::Bmc(Default::default())),
         ("pdr", _) => Ok(EngineSpec::Pdr(Default::default())),
-        ("panic-shim", _) => Ok(EngineSpec::PanicShim),
-        ("spin-shim", _) => Ok(EngineSpec::SpinShim),
-        ("abort-shim", _) => Ok(EngineSpec::AbortShim),
-        ("memhog-shim", _) => Ok(EngineSpec::MemHogShim),
-        ("flaky-shim", _) => Ok(EngineSpec::FlakyShim),
-        (other, _) => Err(format!("unknown engine `{other}`")),
+        (other, _) => FaultShim::from_name(other)
+            .map(EngineSpec::Fault)
+            .ok_or_else(|| format!("unknown engine `{other}`")),
     }
 }
 
@@ -1574,16 +1571,21 @@ mod tests {
 
     #[test]
     fn engine_spec_named_covers_the_protocol_vocabulary() {
-        assert!(engine_spec_named("cegar", None).is_ok());
+        for name in [
+            "cegar",
+            "bmc",
+            "pdr",
+            "panic-shim",
+            "spin-shim",
+            "abort-shim",
+            "memhog-shim",
+            "flaky-shim",
+        ] {
+            let spec = engine_spec_named(name, None).expect("protocol engine name");
+            assert_eq!(spec.engine_name(), name, "engine names round-trip");
+        }
         assert!(engine_spec_named("cegar", Some("path-predicates")).is_ok());
         assert!(engine_spec_named("cegar", Some("mystery")).is_err());
-        assert!(engine_spec_named("bmc", None).is_ok());
-        assert!(engine_spec_named("pdr", None).is_ok());
-        assert!(engine_spec_named("panic-shim", None).is_ok());
-        assert!(engine_spec_named("spin-shim", None).is_ok());
-        assert!(engine_spec_named("abort-shim", None).is_ok());
-        assert!(engine_spec_named("memhog-shim", None).is_ok());
-        assert!(engine_spec_named("flaky-shim", None).is_ok());
         assert!(engine_spec_named("z3", None).is_err());
     }
 

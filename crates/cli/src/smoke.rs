@@ -26,12 +26,9 @@
 //! aborting/memory-hogging engines, breaker quarantine, and torn cache
 //! writes to the story.
 
-use crate::json::{self, Json};
-use crate::SCHEMA_VERSION;
-use std::io::{BufRead, BufReader, Write};
-use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use crate::harness::{temp_path, verify_request, Client, Daemon};
+use crate::json::Json;
+use crate::{write_output, SCHEMA_VERSION};
 use std::time::{Duration, Instant};
 
 /// Options for one smoke run.
@@ -51,110 +48,6 @@ impl Default for SmokeOptions {
     }
 }
 
-/// A spawned daemon plus the temp paths it owns; the `Drop` impl kills the
-/// process so a failing smoke run never leaks daemons.
-struct Daemon {
-    child: Child,
-    socket: PathBuf,
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-fn temp_path(tag: &str) -> PathBuf {
-    static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    std::env::temp_dir().join(format!("pathinv-smoke-{}-{n}-{tag}", std::process::id()))
-}
-
-/// Spawns `pathinv-cli serve` (this same binary) and waits for the socket.
-fn spawn_daemon(socket: &Path, cache: &Path, workers: usize) -> Result<Daemon, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
-    let child = Command::new(exe)
-        .args([
-            "serve",
-            "--socket",
-            &socket.display().to_string(),
-            "--cache",
-            &cache.display().to_string(),
-            "--workers",
-            &workers.to_string(),
-        ])
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .spawn()
-        .map_err(|e| format!("cannot spawn daemon: {e}"))?;
-    let daemon = Daemon { child, socket: socket.to_path_buf() };
-    let start = Instant::now();
-    while !daemon.socket.exists() {
-        if start.elapsed() > Duration::from_secs(30) {
-            return Err("daemon did not create its socket within 30 s".to_string());
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    Ok(daemon)
-}
-
-/// One protocol connection with line-based request/response plumbing.
-struct Client {
-    writer: UnixStream,
-    reader: BufReader<UnixStream>,
-}
-
-impl Client {
-    fn connect(socket: &Path) -> Result<Client, String> {
-        let stream = UnixStream::connect(socket)
-            .map_err(|e| format!("cannot connect to {}: {e}", socket.display()))?;
-        let reader =
-            BufReader::new(stream.try_clone().map_err(|e| format!("cannot clone stream: {e}"))?);
-        Ok(Client { writer: stream, reader })
-    }
-
-    fn send(&mut self, line: &str) -> Result<(), String> {
-        writeln!(self.writer, "{line}").map_err(|e| format!("send failed: {e}"))
-    }
-
-    fn recv(&mut self) -> Result<Json, String> {
-        let mut line = String::new();
-        match self.reader.read_line(&mut line) {
-            Ok(0) => Err("daemon closed the connection".to_string()),
-            Ok(_) => json::parse(line.trim()).map_err(|e| format!("bad response `{line}`: {e}")),
-            Err(e) => Err(format!("recv failed: {e}")),
-        }
-    }
-
-    /// Receives until `count` responses with `status: "done"` arrived
-    /// (results complete in worker order, not submission order); returns
-    /// them and any non-done responses seen along the way.
-    fn recv_done(&mut self, count: usize) -> Result<(Vec<Json>, Vec<Json>), String> {
-        let mut done = Vec::with_capacity(count);
-        let mut other = Vec::new();
-        while done.len() < count {
-            let response = self.recv()?;
-            if response.get("status").and_then(Json::as_str) == Some("done") {
-                done.push(response);
-            } else {
-                other.push(response);
-            }
-        }
-        Ok((done, other))
-    }
-}
-
-fn verify_request(id: usize, name: &str, source: &str) -> String {
-    Json::object(vec![
-        ("op", Json::Str("verify".to_string())),
-        ("id", Json::Int(id as i64)),
-        ("name", Json::Str(name.to_string())),
-        ("program", Json::Str(source.to_string())),
-    ])
-    .compact()
-}
-
 /// One corpus submission pass; returns `(wall_ms, tasks by program name)`.
 fn run_pass(
     client: &mut Client,
@@ -164,7 +57,7 @@ fn run_pass(
 ) -> Result<(f64, Vec<(String, Json)>), String> {
     let start = Instant::now();
     for (i, (name, source)) in corpus.iter().enumerate() {
-        client.send(&verify_request(i, name, source))?;
+        client.send(&verify_request(i as i64, name, source, &[]))?;
     }
     let (done, other) = client.recv_done(corpus.len())?;
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -226,8 +119,12 @@ pub fn run_serve_smoke(opts: &SmokeOptions) -> Result<(), String> {
         }
     };
 
-    say(&format!("spawning daemon ({} workers, cache {})", opts.workers, cache.display()));
-    let mut daemon = spawn_daemon(&socket, &cache, opts.workers)?;
+    let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
+    let (cache_arg, workers) = (cache.display().to_string(), opts.workers.to_string());
+    let serve_args = ["--cache", &cache_arg, "--workers", &workers];
+
+    say(&format!("spawning daemon ({workers} workers, cache {cache_arg})"));
+    let mut daemon = Daemon::spawn(&exe, &socket, &serve_args)?;
     let mut client = Client::connect(&socket)?;
 
     // --- Cold pass, with hostile requests injected mid-stream. -----------
@@ -235,11 +132,12 @@ pub fn run_serve_smoke(opts: &SmokeOptions) -> Result<(), String> {
     let (mid, rest) = corpus.split_at(corpus.len() / 2);
     let cold_start = Instant::now();
     for (i, (name, source)) in mid.iter().enumerate() {
-        client.send(&verify_request(i, name, source))?;
+        client.send(&verify_request(i as i64, name, source, &[]))?;
     }
     // A malformed line mid-stream must produce exactly one error response...
     client.send("this is not json {")?;
     // ...and a panicking engine job must come back as an errored *task*.
+    // Its id is a string, because the protocol echoes any JSON id.
     client.send(
         &Json::object(vec![
             ("op", Json::Str("verify".to_string())),
@@ -251,7 +149,7 @@ pub fn run_serve_smoke(opts: &SmokeOptions) -> Result<(), String> {
         .compact(),
     )?;
     for (i, (name, source)) in rest.iter().enumerate() {
-        client.send(&verify_request(mid.len() + i, name, source))?;
+        client.send(&verify_request((mid.len() + i) as i64, name, source, &[]))?;
     }
     let (done, other) = client.recv_done(corpus.len() + 1)?;
     let cold_ms = cold_start.elapsed().as_secs_f64() * 1e3;
@@ -300,15 +198,8 @@ pub fn run_serve_smoke(opts: &SmokeOptions) -> Result<(), String> {
     say(&format!("warm pass done in {warm_ms:.0} ms, all {} hits, parity OK", corpus.len()));
 
     // --- Clean SIGTERM drain. ---------------------------------------------
-    let pid = daemon.child.id().to_string();
-    let status = Command::new("kill")
-        .args(["-TERM", &pid])
-        .status()
-        .map_err(|e| format!("cannot send SIGTERM: {e}"))?;
-    if !status.success() {
-        return Err("kill -TERM failed".to_string());
-    }
-    let exit = daemon.child.wait().map_err(|e| format!("daemon wait failed: {e}"))?;
+    daemon.sigterm()?;
+    let exit = daemon.wait_exit(Duration::from_secs(30))?;
     if exit.code() != Some(0) {
         return Err(format!("SIGTERM drain must exit 0, got {exit:?}"));
     }
@@ -316,7 +207,7 @@ pub fn run_serve_smoke(opts: &SmokeOptions) -> Result<(), String> {
 
     // --- Warm restart over the surviving journal. -------------------------
     let socket2 = temp_path("sock2");
-    let mut daemon2 = spawn_daemon(&socket2, &cache, opts.workers)?;
+    let mut daemon2 = Daemon::spawn(&exe, &socket2, &serve_args)?;
     let mut client3 = Client::connect(&socket2)?;
     let (restart_ms, restart_tasks) = run_pass(&mut client3, &corpus, true, "restart pass")?;
     let parity = check_parity(&cold_tasks, &restart_tasks, "restart parity");
@@ -333,18 +224,7 @@ pub fn run_serve_smoke(opts: &SmokeOptions) -> Result<(), String> {
     }
     drop(client3);
     // The Drop impl would kill -9; reap the clean exit explicitly.
-    let start = Instant::now();
-    let exit = loop {
-        if let Some(status) =
-            daemon2.child.try_wait().map_err(|e| format!("daemon wait failed: {e}"))?
-        {
-            break status;
-        }
-        if start.elapsed() > Duration::from_secs(30) {
-            return Err("daemon did not exit after the shutdown op".to_string());
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    };
+    let exit = daemon2.wait_exit(Duration::from_secs(30))?;
     if exit.code() != Some(0) {
         return Err(format!("protocol shutdown must exit 0, got {exit:?}"));
     }
@@ -361,13 +241,8 @@ pub fn run_serve_smoke(opts: &SmokeOptions) -> Result<(), String> {
             ("warm_speedup", Json::Float(round1(cold_ms / warm_ms.max(0.001)))),
             ("parity_ok", Json::Bool(true)),
         ]);
-        let text = report.pretty();
-        if path == "-" {
-            print!("{text}");
-        } else {
-            std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-            say(&format!("benchmark artifact written to {path}"));
-        }
+        write_output(path, &report.pretty())?;
+        say(&format!("benchmark artifact written to {path}"));
     }
 
     std::fs::remove_file(&cache).ok();

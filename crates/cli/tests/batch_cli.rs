@@ -52,14 +52,54 @@ fn load_failures_exit_nonzero() {
     assert_eq!(run_cli(&["--quiet", &ok, "/nonexistent/nope.pinv"]), 1);
 }
 
-/// Usage errors are distinguished from task failures.
+/// The parser contract, one row per subcommand: usage errors exit 2 and name
+/// the offending flag on the first stderr line; `--help` exits 0.
 #[test]
 fn usage_errors_exit_two() {
-    assert_eq!(run_cli(&["--refiner", "bogus"]), 2);
-    assert_eq!(run_cli(&["--engine", "bogus"]), 2);
-    assert_eq!(run_cli(&["--engine", "bmc", "--max-refinements", "3", "x.pinv"]), 2);
-    assert_eq!(run_cli(&["--engine", "pdr", "--refiner", "both", "x.pinv"]), 2);
-    assert_eq!(run_cli(&[]), 2, "no inputs is a usage error");
+    let table: &[(&[&str], i32, &str)] = &[
+        (&["--refiner", "bogus"], 2, "error: unknown refiner `bogus`"),
+        (&["--engine", "bogus"], 2, "error: unknown engine `bogus`"),
+        (
+            &["--engine", "bmc", "--max-refinements", "3", "x.pinv"],
+            2,
+            "error: --max-refinements only applies to cegar tasks",
+        ),
+        (
+            &["--engine", "pdr", "--refiner", "both", "x.pinv"],
+            2,
+            "error: --refiner only applies to cegar tasks",
+        ),
+        (&[], 2, "error: nothing to do: pass --all, --bless, and/or .pinv files"),
+        (&["fuzz", "--seed"], 2, "error: --seed requires a value"),
+        (&["fuzz", "--jobs", "0"], 2, "error: --jobs must be at least 1"),
+        (&["chaos-smoke", "--seed", "x"], 2, "error: bad --seed `x`"),
+        (&["serve-smoke", "--workers", "0"], 2, "error: --workers must be at least 1"),
+        (&["serve", "--queue", "0"], 2, "error: --queue must be at least 1"),
+        (&["trajectory", "--bogus"], 2, "error: unknown trajectory option `--bogus`"),
+        (&["--help"], 0, ""),
+    ];
+    for (args, code, first_line) in table {
+        let out = Command::new(env!("CARGO_BIN_EXE_pathinv-cli"))
+            .args(*args)
+            .output()
+            .expect("pathinv-cli binary must run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(*code), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().next().unwrap_or_default(), *first_line, "{args:?}");
+    }
+}
+
+/// The experiments binary shares the flag reader: a zero or malformed
+/// `--jobs` and an unknown flag are usage errors, not runs.
+#[test]
+fn experiments_usage_errors_exit_two() {
+    for args in [&["--jobs", "0"][..], &["--jobs", "x"], &["--chck"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(args)
+            .output()
+            .expect("experiments binary must run");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+    }
 }
 
 /// The portfolio cross-checks engines end-to-end through the real binary:

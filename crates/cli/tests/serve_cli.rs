@@ -5,102 +5,21 @@
 //! asserts the robustness contract of DESIGN.md §14 from the outside — the
 //! daemon must never die, never hang, and never serve a wrong verdict.
 
+use pathinv_cli::harness::{temp_path, verify_request, Client, Daemon};
 use pathinv_cli::json::{self, Json};
 use pathinv_cli::{run_batch, BatchTask, TaskEngine};
-use std::io::{BufRead, BufReader, Write};
-use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use pathinv_core::FaultShim;
+use std::io::Write;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
+const CLI: &str = env!("CARGO_BIN_EXE_pathinv-cli");
 const SAFE_SRC: &str = "proc ok(x: int) { x = 1; assert(x == 1); }";
 const BUG_SRC: &str = "proc bug(x: int) { x = 1; assert(x == 2); }";
 
-fn temp_path(tag: &str) -> PathBuf {
-    static COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    std::env::temp_dir().join(format!("pathinv-serve-cli-{}-{n}-{tag}", std::process::id()))
-}
-
-/// A daemon child whose `Drop` kills the process, so a failing test never
-/// leaks daemons into the test host.
-struct Daemon {
-    child: Child,
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-/// Spawns `pathinv-cli serve --socket ...` and waits for the socket file.
-fn spawn_daemon(socket: &Path, extra: &[&str]) -> Daemon {
-    let mut args = vec!["serve".to_string(), "--socket".to_string(), socket.display().to_string()];
-    args.extend(extra.iter().map(|s| s.to_string()));
-    let child = Command::new(env!("CARGO_BIN_EXE_pathinv-cli"))
-        .args(&args)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("daemon must spawn");
-    let start = Instant::now();
-    while !socket.exists() {
-        assert!(start.elapsed() < Duration::from_secs(30), "daemon never created its socket");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    Daemon { child }
-}
-
-struct Client {
-    writer: UnixStream,
-    reader: BufReader<UnixStream>,
-}
-
-impl Client {
-    fn connect(socket: &Path) -> Client {
-        let stream = UnixStream::connect(socket).expect("client must connect");
-        let reader = BufReader::new(stream.try_clone().expect("stream must clone"));
-        Client { writer: stream, reader }
-    }
-
-    fn send(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").expect("send must succeed");
-    }
-
-    fn recv(&mut self) -> Json {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line).expect("recv must succeed");
-        assert!(n > 0, "daemon closed the connection unexpectedly");
-        json::parse(line.trim()).unwrap_or_else(|e| panic!("bad response `{line}`: {e}"))
-    }
-
-    /// Reads lines until EOF (used after SIGTERM, when the daemon drains
-    /// and closes the connection).
-    fn recv_until_eof(&mut self) -> Vec<Json> {
-        let mut out = Vec::new();
-        loop {
-            let mut line = String::new();
-            match self.reader.read_line(&mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => out.push(json::parse(line.trim()).expect("responses parse")),
-            }
-        }
-        out
-    }
-}
-
-fn verify_request(id: i64, name: &str, source: &str, extra: &[(&str, Json)]) -> String {
-    let mut fields = vec![
-        ("op", Json::Str("verify".to_string())),
-        ("id", Json::Int(id)),
-        ("name", Json::Str(name.to_string())),
-        ("program", Json::Str(source.to_string())),
-    ];
-    fields.extend(extra.iter().cloned());
-    Json::object(fields).compact()
+/// The `engine` field routing a request to fault-injection shim `name`.
+fn engine(name: &str) -> (&'static str, Json) {
+    ("engine", Json::Str(name.to_string()))
 }
 
 fn task_field<'j>(response: &'j Json, key: &str) -> &'j str {
@@ -112,21 +31,16 @@ fn task_field<'j>(response: &'j Json, key: &str) -> &'j str {
 #[test]
 fn panicking_job_is_isolated_and_the_daemon_keeps_serving() {
     let socket = temp_path("panic.sock");
-    let _daemon = spawn_daemon(&socket, &[]);
-    let mut client = Client::connect(&socket);
-    client.send(&verify_request(
-        1,
-        "boom",
-        SAFE_SRC,
-        &[("engine", Json::Str("panic-shim".to_string()))],
-    ));
-    let r = client.recv();
+    let _daemon = Daemon::spawn(CLI, &socket, &[]).expect("daemon must spawn");
+    let mut client = Client::connect(&socket).expect("connect");
+    client.send(&verify_request(1, "boom", SAFE_SRC, &[engine("panic-shim")])).expect("send");
+    let r = client.recv().expect("recv");
     assert_eq!(r.get("status").and_then(Json::as_str), Some("done"), "{r:?}");
     assert_eq!(task_field(&r, "verdict"), "error", "{r:?}");
     assert!(task_field(&r, "detail").contains("panicked"), "{r:?}");
 
-    client.send(&verify_request(2, "after", BUG_SRC, &[]));
-    let r = client.recv();
+    client.send(&verify_request(2, "after", BUG_SRC, &[])).expect("send");
+    let r = client.recv().expect("recv");
     assert_eq!(task_field(&r, "verdict"), "unsafe", "daemon must survive the panic: {r:?}");
 }
 
@@ -135,16 +49,12 @@ fn panicking_job_is_isolated_and_the_daemon_keeps_serving() {
 #[test]
 fn overdue_job_cancels_within_twice_its_deadline() {
     let socket = temp_path("deadline.sock");
-    let _daemon = spawn_daemon(&socket, &[]);
-    let mut client = Client::connect(&socket);
+    let _daemon = Daemon::spawn(CLI, &socket, &[]).expect("daemon must spawn");
+    let mut client = Client::connect(&socket).expect("connect");
     let start = Instant::now();
-    client.send(&verify_request(
-        1,
-        "spin",
-        SAFE_SRC,
-        &[("engine", Json::Str("spin-shim".to_string())), ("timeout_ms", Json::Int(300))],
-    ));
-    let r = client.recv();
+    let spin = [engine("spin-shim"), ("timeout_ms", Json::Int(300))];
+    client.send(&verify_request(1, "spin", SAFE_SRC, &spin)).expect("send");
+    let r = client.recv().expect("recv");
     let elapsed = start.elapsed();
     assert_eq!(task_field(&r, "verdict"), "cancelled", "{r:?}");
     assert!(task_field(&r, "detail").contains("deadline of 300 ms"), "{r:?}");
@@ -156,15 +66,15 @@ fn overdue_job_cancels_within_twice_its_deadline() {
 #[test]
 fn malformed_lines_error_and_the_stream_continues() {
     let socket = temp_path("malformed.sock");
-    let _daemon = spawn_daemon(&socket, &[]);
-    let mut client = Client::connect(&socket);
+    let _daemon = Daemon::spawn(CLI, &socket, &[]).expect("daemon must spawn");
+    let mut client = Client::connect(&socket).expect("connect");
     for hostile in ["not json at all", "{\"op\":\"no-such-op\"}", "{\"op\":\"verify\"}", "[1,2]"] {
-        client.send(hostile);
-        let r = client.recv();
+        client.send(hostile).expect("send");
+        let r = client.recv().expect("recv");
         assert_eq!(r.get("status").and_then(Json::as_str), Some("error"), "{hostile} -> {r:?}");
     }
-    client.send("{\"op\":\"ping\"}");
-    assert_eq!(client.recv().get("status").and_then(Json::as_str), Some("pong"));
+    client.send("{\"op\":\"ping\"}").expect("send");
+    assert_eq!(client.recv().expect("recv").get("status").and_then(Json::as_str), Some("pong"));
 }
 
 /// A corrupted journal tail is truncated on recovery: the intact prefix
@@ -177,18 +87,20 @@ fn corrupted_journal_recovers_and_verdicts_stay_correct() {
     let cache = temp_path("corrupt.journal");
     let cache_arg = cache.display().to_string();
     {
-        let mut daemon = spawn_daemon(&socket, &["--cache", &cache_arg]);
-        let mut client = Client::connect(&socket);
-        client.send(&verify_request(1, "first", SAFE_SRC, &[]));
-        let r = client.recv();
+        let mut daemon =
+            Daemon::spawn(CLI, &socket, &["--cache", &cache_arg]).expect("daemon must spawn");
+        let mut client = Client::connect(&socket).expect("connect");
+        client.send(&verify_request(1, "first", SAFE_SRC, &[])).expect("send");
+        let r = client.recv().expect("recv");
         assert_eq!(task_field(&r, "verdict"), "safe", "{r:?}");
-        client.send(&verify_request(2, "second", BUG_SRC, &[]));
-        let r = client.recv();
+        client.send(&verify_request(2, "second", BUG_SRC, &[])).expect("send");
+        let r = client.recv().expect("recv");
         assert_eq!(task_field(&r, "verdict"), "unsafe", "{r:?}");
-        client.send("{\"op\":\"shutdown\"}");
-        let ack = client.recv();
+        client.send("{\"op\":\"shutdown\"}").expect("send");
+        let ack = client.recv().expect("recv");
         assert_eq!(ack.get("status").and_then(Json::as_str), Some("shutdown"), "{ack:?}");
-        assert_eq!(daemon.child.wait().expect("daemon exits").code(), Some(0));
+        let exit = daemon.wait_exit(Duration::from_secs(30)).expect("daemon exits");
+        assert_eq!(exit.code(), Some(0));
     }
 
     // Flip one byte inside the *last* record's checksum, simulating a torn
@@ -200,14 +112,15 @@ fn corrupted_journal_recovers_and_verdicts_stay_correct() {
     std::fs::write(&cache, &journal).expect("journal rewritten");
 
     let socket2 = temp_path("corrupt2.sock");
-    let _daemon = spawn_daemon(&socket2, &["--cache", &cache_arg]);
-    let mut client = Client::connect(&socket2);
-    client.send(&verify_request(3, "first", SAFE_SRC, &[]));
-    let r = client.recv();
+    let _daemon =
+        Daemon::spawn(CLI, &socket2, &["--cache", &cache_arg]).expect("daemon must spawn");
+    let mut client = Client::connect(&socket2).expect("connect");
+    client.send(&verify_request(3, "first", SAFE_SRC, &[])).expect("send");
+    let r = client.recv().expect("recv");
     assert_eq!(task_field(&r, "verdict"), "safe", "{r:?}");
     assert_eq!(r.get("cached"), Some(&Json::Bool(true)), "intact prefix must hit: {r:?}");
-    client.send(&verify_request(4, "second", BUG_SRC, &[]));
-    let r = client.recv();
+    client.send(&verify_request(4, "second", BUG_SRC, &[])).expect("send");
+    let r = client.recv().expect("recv");
     assert_eq!(task_field(&r, "verdict"), "unsafe", "recomputed verdict must be right: {r:?}");
     assert_eq!(r.get("cached"), Some(&Json::Bool(false)), "corrupted entry must recompute: {r:?}");
     std::fs::remove_file(&cache).ok();
@@ -218,25 +131,18 @@ fn corrupted_journal_recovers_and_verdicts_stay_correct() {
 #[test]
 fn sigterm_mid_job_drains_with_exit_zero() {
     let socket = temp_path("sigterm.sock");
-    let mut daemon = spawn_daemon(&socket, &[]);
-    let mut client = Client::connect(&socket);
-    client.send(&verify_request(
-        1,
-        "spin-forever",
-        SAFE_SRC,
-        &[("engine", Json::Str("spin-shim".to_string()))],
-    ));
+    let mut daemon = Daemon::spawn(CLI, &socket, &[]).expect("daemon must spawn");
+    let mut client = Client::connect(&socket).expect("connect");
+    client
+        .send(&verify_request(1, "spin-forever", SAFE_SRC, &[engine("spin-shim")]))
+        .expect("send");
     // Give the worker a moment to pick the job up, then terminate mid-job.
     std::thread::sleep(Duration::from_millis(300));
-    let status = Command::new("kill")
-        .args(["-TERM", &daemon.child.id().to_string()])
-        .status()
-        .expect("kill must run");
-    assert!(status.success());
-    let responses = client.recv_until_eof();
+    daemon.sigterm().expect("SIGTERM");
+    let responses = client.recv_until_eof().expect("recv until EOF");
     let cancelled = responses.iter().any(|r| task_field(r, "verdict") == "cancelled");
     assert!(cancelled, "the in-flight job must get an honest cancelled line: {responses:?}");
-    let exit = daemon.child.wait().expect("daemon exits");
+    let exit = daemon.wait_exit(Duration::from_secs(30)).expect("daemon exits");
     assert_eq!(exit.code(), Some(0), "SIGTERM drain must exit 0, got {exit:?}");
 }
 
@@ -250,7 +156,7 @@ fn stdin_mode_round_trips_and_protocol_shutdown_acks() {
         verify_request(1, "via-stdin", BUG_SRC, &[]),
         "{\"op\":\"shutdown\"}"
     );
-    let mut child = Command::new(env!("CARGO_BIN_EXE_pathinv-cli"))
+    let mut child = Command::new(CLI)
         .arg("serve")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
@@ -281,7 +187,7 @@ fn batch_panicking_task_errors_without_killing_the_batch() {
     let tasks = vec![
         BatchTask {
             program_name: "boom".to_string(),
-            engine: TaskEngine::PanicShim,
+            engine: TaskEngine::Fault(FaultShim::Panic),
             program: program.clone(),
             certify: false,
             timeout_ms: None,
@@ -311,7 +217,7 @@ fn batch_timeout_cancels_overdue_tasks_and_spares_quick_ones() {
     let tasks = vec![
         BatchTask {
             program_name: "spin".to_string(),
-            engine: TaskEngine::SpinShim,
+            engine: TaskEngine::Fault(FaultShim::Spin),
             program: program.clone(),
             certify: false,
             timeout_ms: Some(200),
@@ -333,23 +239,21 @@ fn batch_timeout_cancels_overdue_tasks_and_spares_quick_ones() {
     assert_eq!(quick.verdict, "safe", "{}", quick.detail);
 }
 
-/// CLI validation for the new flags: a zero timeout is a usage error, and
-/// the serve subcommand rejects an unknown flag.
+/// Flag validation: bad `--timeout-ms` values and bad `serve` flags are
+/// usage errors (exit 2), never a silent default.
 #[test]
 fn cli_flag_validation_exits_two() {
-    let run = |args: &[&str]| {
-        Command::new(env!("CARGO_BIN_EXE_pathinv-cli"))
-            .args(args)
-            .output()
-            .expect("binary runs")
-            .status
-            .code()
-            .expect("binary exits")
-    };
-    assert_eq!(run(&["--timeout-ms", "0", "x.pinv"]), 2);
-    assert_eq!(run(&["--timeout-ms", "nope", "x.pinv"]), 2);
-    assert_eq!(run(&["serve", "--bogus"]), 2);
-    assert_eq!(run(&["serve", "--workers", "0"]), 2);
+    for (args, first_line) in [
+        (&["--timeout-ms", "0", "x.pinv"][..], "error: --timeout-ms must be at least 1"),
+        (&["--timeout-ms", "nope", "x.pinv"], "error: bad --timeout-ms `nope`"),
+        (&["serve", "--bogus"], "error: unknown serve option `--bogus`"),
+        (&["serve", "--workers", "0"], "error: --workers must be at least 1"),
+    ] {
+        let out = Command::new(CLI).args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().next().unwrap_or_default(), first_line, "{args:?}");
+    }
 }
 
 /// Acceptance criterion (a): an *aborting* engine under `--isolate process`
@@ -358,15 +262,11 @@ fn cli_flag_validation_exits_two() {
 #[test]
 fn aborting_engine_under_process_isolation_is_contained() {
     let socket = temp_path("abort.sock");
-    let _daemon = spawn_daemon(&socket, &["--isolate", "process", "--retries", "0"]);
-    let mut client = Client::connect(&socket);
-    client.send(&verify_request(
-        1,
-        "hard-crash",
-        SAFE_SRC,
-        &[("engine", Json::Str("abort-shim".to_string()))],
-    ));
-    let r = client.recv();
+    let _daemon = Daemon::spawn(CLI, &socket, &["--isolate", "process", "--retries", "0"])
+        .expect("daemon must spawn");
+    let mut client = Client::connect(&socket).expect("connect");
+    client.send(&verify_request(1, "hard-crash", SAFE_SRC, &[engine("abort-shim")])).expect("send");
+    let r = client.recv().expect("recv");
     assert_eq!(r.get("status").and_then(Json::as_str), Some("done"), "{r:?}");
     assert_eq!(task_field(&r, "verdict"), "error", "{r:?}");
     assert!(
@@ -375,11 +275,11 @@ fn aborting_engine_under_process_isolation_is_contained() {
     );
     // The daemon — not just the worker — survived: a normal job still runs,
     // in its own child process, and reports the right verdict.
-    client.send(&verify_request(2, "after", BUG_SRC, &[]));
-    let r = client.recv();
+    client.send(&verify_request(2, "after", BUG_SRC, &[])).expect("send");
+    let r = client.recv().expect("recv");
     assert_eq!(task_field(&r, "verdict"), "unsafe", "daemon must survive the abort: {r:?}");
-    client.send(&verify_request(3, "after-safe", SAFE_SRC, &[]));
-    let r = client.recv();
+    client.send(&verify_request(3, "after-safe", SAFE_SRC, &[])).expect("send");
+    let r = client.recv().expect("recv");
     assert_eq!(task_field(&r, "verdict"), "safe", "{r:?}");
 }
 
@@ -392,38 +292,40 @@ fn breaker_quarantines_a_faulting_engine_and_recovers_after_cooldown() {
     const TWO_VAR: &str = "proc f(x: int, y: int) { x = 1; assert(x == 1); }";
     const ONE_VAR: &str = "proc f(x: int) { x = 1; assert(x == 1); }";
     let socket = temp_path("breaker.sock");
-    let _daemon = spawn_daemon(
+    let _daemon = Daemon::spawn(
+        CLI,
         &socket,
         &["--retries", "0", "--breaker-threshold", "2", "--breaker-cooldown-ms", "600"],
-    );
-    let mut client = Client::connect(&socket);
-    let flaky = ("engine", Json::Str("flaky-shim".to_string()));
+    )
+    .expect("daemon must spawn");
+    let mut client = Client::connect(&socket).expect("connect");
+    let flaky = [engine("flaky-shim")];
     // flaky-shim faults deterministically on two-variable programs: two
     // consecutive faults trip the breaker.
     for id in 1..=2 {
-        client.send(&verify_request(id, "fault", TWO_VAR, std::slice::from_ref(&flaky)));
-        let r = client.recv();
+        client.send(&verify_request(id, "fault", TWO_VAR, &flaky)).expect("send");
+        let r = client.recv().expect("recv");
         assert_eq!(task_field(&r, "verdict"), "error", "{r:?}");
     }
     // Open: even a would-succeed submission is fast-failed.
-    client.send(&verify_request(3, "quarantine-probe", ONE_VAR, std::slice::from_ref(&flaky)));
-    let r = client.recv();
+    client.send(&verify_request(3, "quarantine-probe", ONE_VAR, &flaky)).expect("send");
+    let r = client.recv().expect("recv");
     assert_eq!(r.get("status").and_then(Json::as_str), Some("quarantined"), "{r:?}");
     assert_eq!(r.get("engine").and_then(Json::as_str), Some("flaky-shim"), "{r:?}");
     assert!(r.get("retry_after_ms").and_then(Json::as_int).is_some(), "{r:?}");
     // Other engines are not quarantined by flaky-shim's breaker.
-    client.send(&verify_request(4, "bystander", BUG_SRC, &[]));
-    let r = client.recv();
+    client.send(&verify_request(4, "bystander", BUG_SRC, &[])).expect("send");
+    let r = client.recv().expect("recv");
     assert_eq!(task_field(&r, "verdict"), "unsafe", "{r:?}");
     // After the cooldown the half-open probe is admitted; its success
     // closes the breaker and the engine serves normally again.
     std::thread::sleep(Duration::from_millis(800));
-    client.send(&verify_request(5, "recovery-probe", ONE_VAR, std::slice::from_ref(&flaky)));
-    let r = client.recv();
+    client.send(&verify_request(5, "recovery-probe", ONE_VAR, &flaky)).expect("send");
+    let r = client.recv().expect("recv");
     assert_eq!(r.get("status").and_then(Json::as_str), Some("done"), "{r:?}");
     assert_eq!(task_field(&r, "verdict"), "unknown", "{r:?}");
-    client.send(&verify_request(6, "recovered", ONE_VAR, &[flaky]));
-    let r = client.recv();
+    client.send(&verify_request(6, "recovered", ONE_VAR, &flaky)).expect("send");
+    let r = client.recv().expect("recv");
     assert_eq!(r.get("status").and_then(Json::as_str), Some("done"), "closed again: {r:?}");
 }
 
@@ -439,19 +341,21 @@ fn compacted_journal_survives_a_sigkill_crash_with_identical_warm_verdicts() {
     // Phase 1: capture the cold verdicts through a daemon, clean shutdown.
     let (cold_safe, cold_bug);
     {
-        let mut daemon = spawn_daemon(&socket, &["--cache", &cache_arg]);
-        let mut client = Client::connect(&socket);
-        client.send(&verify_request(1, "first", SAFE_SRC, &[]));
-        let r = client.recv();
+        let mut daemon =
+            Daemon::spawn(CLI, &socket, &["--cache", &cache_arg]).expect("daemon must spawn");
+        let mut client = Client::connect(&socket).expect("connect");
+        client.send(&verify_request(1, "first", SAFE_SRC, &[])).expect("send");
+        let r = client.recv().expect("recv");
         cold_safe =
             (task_field(&r, "verdict").to_string(), task_field(&r, "cert_digest").to_string());
-        client.send(&verify_request(2, "second", BUG_SRC, &[]));
-        let r = client.recv();
+        client.send(&verify_request(2, "second", BUG_SRC, &[])).expect("send");
+        let r = client.recv().expect("recv");
         cold_bug =
             (task_field(&r, "verdict").to_string(), task_field(&r, "cert_digest").to_string());
-        client.send("{\"op\":\"shutdown\"}");
-        client.recv();
-        assert_eq!(daemon.child.wait().expect("daemon exits").code(), Some(0));
+        client.send("{\"op\":\"shutdown\"}").expect("send");
+        client.recv().expect("recv");
+        let exit = daemon.wait_exit(Duration::from_secs(30)).expect("daemon exits");
+        assert_eq!(exit.code(), Some(0));
     }
     // Bloat the journal with superseded records so the daemon's next insert
     // crosses both compaction triggers (size + half-dead).
@@ -475,23 +379,16 @@ fn compacted_journal_survives_a_sigkill_crash_with_identical_warm_verdicts() {
     // cacheable insert compacts the journal.  Then SIGKILL — a real crash.
     let socket2 = temp_path("compact2.sock");
     {
-        let mut daemon =
-            spawn_daemon(&socket2, &["--cache", &cache_arg, "--cache-compact-bytes", "64"]);
-        let mut client = Client::connect(&socket2);
-        client.send(&verify_request(
-            3,
-            "third",
-            "proc third(x: int) { x = 3; assert(x == 3); }",
-            &[],
-        ));
-        let r = client.recv();
+        let daemon =
+            Daemon::spawn(CLI, &socket2, &["--cache", &cache_arg, "--cache-compact-bytes", "64"])
+                .expect("daemon must spawn");
+        let mut client = Client::connect(&socket2).expect("connect");
+        client
+            .send(&verify_request(3, "third", "proc third(x: int) { x = 3; assert(x == 3); }", &[]))
+            .expect("send");
+        let r = client.recv().expect("recv");
         assert_eq!(r.get("status").and_then(Json::as_str), Some("done"), "{r:?}");
-        let status = Command::new("kill")
-            .args(["-KILL", &daemon.child.id().to_string()])
-            .status()
-            .expect("kill must run");
-        assert!(status.success());
-        let _ = daemon.child.wait();
+        drop(daemon); // the Drop impl sends SIGKILL
     }
     let compacted_lines = std::fs::read_to_string(&cache).expect("journal exists").lines().count();
     assert!(
@@ -502,18 +399,19 @@ fn compacted_journal_survives_a_sigkill_crash_with_identical_warm_verdicts() {
     // Phase 3: a fresh daemon over the crashed-but-compacted journal must
     // serve the original verdicts warm and byte-identical.
     let socket3 = temp_path("compact3.sock");
-    let _daemon = spawn_daemon(&socket3, &["--cache", &cache_arg]);
-    let mut client = Client::connect(&socket3);
-    client.send(&verify_request(4, "first", SAFE_SRC, &[]));
-    let r = client.recv();
+    let _daemon =
+        Daemon::spawn(CLI, &socket3, &["--cache", &cache_arg]).expect("daemon must spawn");
+    let mut client = Client::connect(&socket3).expect("connect");
+    client.send(&verify_request(4, "first", SAFE_SRC, &[])).expect("send");
+    let r = client.recv().expect("recv");
     assert_eq!(r.get("cached"), Some(&Json::Bool(true)), "must replay warm: {r:?}");
     assert_eq!(
         (task_field(&r, "verdict").to_string(), task_field(&r, "cert_digest").to_string()),
         cold_safe,
         "{r:?}"
     );
-    client.send(&verify_request(5, "second", BUG_SRC, &[]));
-    let r = client.recv();
+    client.send(&verify_request(5, "second", BUG_SRC, &[])).expect("send");
+    let r = client.recv().expect("recv");
     assert_eq!(r.get("cached"), Some(&Json::Bool(true)), "must replay warm: {r:?}");
     assert_eq!(
         (task_field(&r, "verdict").to_string(), task_field(&r, "cert_digest").to_string()),
@@ -529,35 +427,25 @@ fn compacted_journal_survives_a_sigkill_crash_with_identical_warm_verdicts() {
 #[test]
 fn concurrent_clients_past_queue_capacity_each_get_exactly_one_response() {
     let socket = temp_path("overload.sock");
-    let _daemon = spawn_daemon(&socket, &["--workers", "1", "--queue", "2"]);
+    let _daemon = Daemon::spawn(CLI, &socket, &["--workers", "1", "--queue", "2"])
+        .expect("daemon must spawn");
     // Occupy the single worker so the queue is what the flood fights over.
-    let mut occupier = Client::connect(&socket);
-    occupier.send(&verify_request(
-        100,
-        "occupier",
-        SAFE_SRC,
-        &[("engine", Json::Str("spin-shim".to_string())), ("timeout_ms", Json::Int(800))],
-    ));
+    let mut occupier = Client::connect(&socket).expect("connect");
+    let spin = [engine("spin-shim"), ("timeout_ms", Json::Int(800))];
+    occupier.send(&verify_request(100, "occupier", SAFE_SRC, &spin)).expect("send");
     std::thread::sleep(Duration::from_millis(300));
     let handles: Vec<_> = (0..10)
         .map(|i| {
             let socket = socket.clone();
             std::thread::spawn(move || {
-                let mut client = Client::connect(&socket);
-                client.send(&verify_request(
-                    i,
-                    &format!("flood-{i}"),
-                    SAFE_SRC,
-                    &[
-                        ("engine", Json::Str("spin-shim".to_string())),
-                        ("timeout_ms", Json::Int(500)),
-                    ],
-                ));
-                let r = client.recv();
+                let mut client = Client::connect(&socket).expect("connect");
+                let spin = [engine("spin-shim"), ("timeout_ms", Json::Int(500))];
+                let request = verify_request(i, &format!("flood-{i}"), SAFE_SRC, &spin);
+                client.send(&request).expect("send");
+                let r = client.recv().expect("recv");
                 // Exactly one response per client: after it, the connection
                 // must stay silent (a duplicate would land here).
-                client.writer.shutdown(std::net::Shutdown::Write).ok();
-                let extras = client.recv_until_eof();
+                let extras = client.recv_until_eof().expect("recv until EOF");
                 (i, r, extras)
             })
         })
@@ -576,7 +464,7 @@ fn concurrent_clients_past_queue_capacity_each_get_exactly_one_response() {
     assert_eq!(overloaded + done, 10, "zero dropped responses: {statuses:?}");
     assert!(overloaded >= 7, "1 worker + queue 2 can admit at most 3 of 10 floods: {statuses:?}");
     // The occupier's job still completes honestly.
-    let r = occupier.recv();
+    let r = occupier.recv().expect("recv");
     assert_eq!(r.get("id").and_then(Json::as_int), Some(100), "{r:?}");
     assert_eq!(task_field(&r, "verdict"), "cancelled", "{r:?}");
 }
@@ -589,7 +477,7 @@ fn batch_timeout_flag_preserves_verdicts_through_the_binary() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("quick.pinv");
     std::fs::write(&path, SAFE_SRC).unwrap();
-    let code = Command::new(env!("CARGO_BIN_EXE_pathinv-cli"))
+    let code = Command::new(CLI)
         .args(["--quiet", "--timeout-ms", "60000", path.to_str().unwrap()])
         .output()
         .expect("binary runs")
@@ -597,4 +485,18 @@ fn batch_timeout_flag_preserves_verdicts_through_the_binary() {
         .code()
         .expect("binary exits");
     assert_eq!(code, 0);
+}
+
+/// Both end-to-end smoke scenarios hold their contracts through the real
+/// binary: the in-thread `serve-smoke` and the seeded `chaos-smoke`.
+#[test]
+fn smoke_harnesses_hold_their_contracts() {
+    for args in [
+        &["serve-smoke", "--quiet", "--workers", "2"][..],
+        &["chaos-smoke", "--seed", "42", "--quiet"],
+    ] {
+        let out = Command::new(CLI).args(args).output().expect("pathinv-cli runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+    }
 }

@@ -19,13 +19,12 @@
 //!   exhaustion and panics never masquerade as conclusive verdicts.
 //!
 //! [`EngineSpec`] names the engine (plus configuration) a job runs.  Beyond
-//! the three real engines it provides five *fault-injection shims* —
-//! [`EngineSpec::PanicShim`], [`EngineSpec::SpinShim`],
-//! [`EngineSpec::AbortShim`], [`EngineSpec::MemHogShim`], and
-//! [`EngineSpec::FlakyShim`] — deliberately hostile engines the robustness
-//! test suites (and the service's `serve-smoke`/`chaos-smoke` CI jobs) use
-//! to prove that panic isolation, process isolation, deadline enforcement,
-//! and circuit breaking work in the real binary, not just in unit tests.
+//! the three real engines, [`EngineSpec::Fault`] runs one of five
+//! *fault-injection shims* ([`FaultShim`]) — deliberately hostile engines
+//! the robustness test suites (and the service's `serve-smoke`/`chaos-smoke`
+//! CI jobs) use to prove that panic isolation, process isolation, deadline
+//! enforcement, and circuit breaking work in the real binary, not just in
+//! unit tests.
 //!
 //! [`job_fingerprint`] is the persistent-cache key: a stable digest of the
 //! interned program structure and the engine configuration.  In-process the
@@ -64,11 +63,9 @@ pub fn refiner_name(kind: RefinerKind) -> &'static str {
 
 /// The engine (with configuration) one job runs.
 ///
-/// The three real engines carry their configurations; the shims are fault
-/// injectors for the robustness suites (a panicking engine, a divergent
-/// engine that only a cancellation stops, an aborting engine, a memory hog,
-/// and a deterministically flaky engine), available in the real binary so
-/// integration tests can drive them through the service protocol.
+/// The three real engines carry their configurations; [`EngineSpec::Fault`]
+/// is a fault injector for the robustness suites, available in the real
+/// binary so integration tests can drive it through the service protocol.
 #[derive(Clone, Debug)]
 pub enum EngineSpec {
     /// The CEGAR driver with the configured refiner.
@@ -77,46 +74,19 @@ pub enum EngineSpec {
     Bmc(BmcConfig),
     /// The PDR-lite frame engine.
     Pdr(PdrConfig),
-    /// Fault-injection shim: panics as soon as it is asked to verify
-    /// anything.  Proves panic isolation end to end.
-    PanicShim,
-    /// Fault-injection shim: spins until its token is cancelled (the
-    /// divergence the paper's lazy refinement can exhibit, distilled).
-    /// Proves deadline enforcement and shutdown draining end to end.
-    SpinShim,
-    /// Fault-injection shim: calls [`std::process::abort`] — a hard fault
-    /// `catch_unwind` can never absorb.  Only survivable under process
-    /// isolation (`serve --isolate process`), which is exactly what it
-    /// exists to prove.  **Running it in-thread kills the host process.**
-    AbortShim,
-    /// Fault-injection shim: allocates (and touches) a bounded amount of
-    /// memory, then diverges until cancelled — the OOM-shaped failure mode,
-    /// distilled to something CI can afford.  Under a deadline it is
-    /// cancelled in-thread; under process isolation the child is killed.
-    MemHogShim,
-    /// Fault-injection shim with *deterministic, program-selected* faults:
-    /// panics iff the program declares two or more variables, reports
-    /// `unknown` otherwise.  Stateless, so tests can drive one engine name
-    /// through the full circuit-breaker cycle (fault it open with a
-    /// multi-variable program, close it again with a single-variable probe)
-    /// without any cross-test shared state.
-    FlakyShim,
+    /// A fault-injection shim.
+    Fault(FaultShim),
 }
 
 impl EngineSpec {
-    /// The engine's report name (`"cegar"`, `"bmc"`, `"pdr"`,
-    /// `"panic-shim"`, `"spin-shim"`, `"abort-shim"`, `"memhog-shim"`,
-    /// `"flaky-shim"`).
+    /// The engine's report name (`"cegar"`, `"bmc"`, `"pdr"`, or the shim's
+    /// [`FaultShim::name`]).
     pub fn engine_name(&self) -> &'static str {
         match self {
             EngineSpec::Cegar(_) => "cegar",
             EngineSpec::Bmc(_) => "bmc",
             EngineSpec::Pdr(_) => "pdr",
-            EngineSpec::PanicShim => "panic-shim",
-            EngineSpec::SpinShim => "spin-shim",
-            EngineSpec::AbortShim => "abort-shim",
-            EngineSpec::MemHogShim => "memhog-shim",
-            EngineSpec::FlakyShim => "flaky-shim",
+            EngineSpec::Fault(shim) => shim.name(),
         }
     }
 
@@ -135,11 +105,7 @@ impl EngineSpec {
             EngineSpec::Cegar(config) => Box::new(Verifier::new(config.clone())),
             EngineSpec::Bmc(config) => Box::new(BmcEngine::new(*config)),
             EngineSpec::Pdr(config) => Box::new(PdrEngine::new(*config)),
-            EngineSpec::PanicShim => Box::new(PanicEngine),
-            EngineSpec::SpinShim => Box::new(SpinEngine),
-            EngineSpec::AbortShim => Box::new(AbortEngine),
-            EngineSpec::MemHogShim => Box::new(MemHogEngine),
-            EngineSpec::FlakyShim => Box::new(FlakyEngine),
+            EngineSpec::Fault(shim) => shim.build(),
         }
     }
 
@@ -147,14 +113,7 @@ impl EngineSpec {
     /// engine.  Shim outcomes are timing- or fault-dependent, so they are
     /// never admitted to the verdict cache.
     pub fn is_shim(&self) -> bool {
-        matches!(
-            self,
-            EngineSpec::PanicShim
-                | EngineSpec::SpinShim
-                | EngineSpec::AbortShim
-                | EngineSpec::MemHogShim
-                | EngineSpec::FlakyShim
-        )
+        matches!(self, EngineSpec::Fault(_))
     }
 
     /// The configuration fingerprint line folded into [`job_fingerprint`]:
@@ -179,80 +138,38 @@ impl EngineSpec {
                 "max_frames={} max_obligations={} max_queries={}",
                 c.max_frames, c.max_obligations, c.max_queries
             ),
-            EngineSpec::PanicShim
-            | EngineSpec::SpinShim
-            | EngineSpec::AbortShim
-            | EngineSpec::MemHogShim
-            | EngineSpec::FlakyShim => "shim".to_string(),
+            EngineSpec::Fault(_) => "shim".to_string(),
         }
     }
 }
 
-/// A fault-injection engine that panics immediately (see
-/// [`EngineSpec::PanicShim`]).
-struct PanicEngine;
-
-impl VerificationEngine for PanicEngine {
-    fn name(&self) -> &'static str {
-        "panic-shim"
-    }
-
-    fn verify_with_cancel(
-        &self,
-        _program: &Program,
-        _token: &CancellationToken,
-    ) -> CoreResult<VerificationResult> {
-        panic!("injected panic (panic-shim engine)");
-    }
-}
-
-/// A fault-injection engine that diverges until cancelled (see
-/// [`EngineSpec::SpinShim`]).
-struct SpinEngine;
-
-impl VerificationEngine for SpinEngine {
-    fn name(&self) -> &'static str {
-        "spin-shim"
-    }
-
-    fn verify_with_cancel(
-        &self,
-        _program: &Program,
-        token: &CancellationToken,
-    ) -> CoreResult<VerificationResult> {
-        // Poll the token the way real engines do at budget sites; the sleep
-        // keeps the shim from burning a core while it "diverges".
-        while !token.is_cancelled() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        Ok(VerificationResult {
-            verdict: Verdict::Cancelled,
-            refinements: 0,
-            predicates: 0,
-            art_nodes: 0,
-            predicate_map: PredicateMap::default(),
-            certificate: None,
-            stats: VerifierStats::default(),
-        })
-    }
-}
-
-/// A fault-injection engine that aborts the whole process (see
-/// [`EngineSpec::AbortShim`]).
-struct AbortEngine;
-
-impl VerificationEngine for AbortEngine {
-    fn name(&self) -> &'static str {
-        "abort-shim"
-    }
-
-    fn verify_with_cancel(
-        &self,
-        _program: &Program,
-        _token: &CancellationToken,
-    ) -> CoreResult<VerificationResult> {
-        std::process::abort();
-    }
+/// A deliberately hostile engine for the robustness suites.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultShim {
+    /// Panics as soon as it is asked to verify anything.  Proves panic
+    /// isolation end to end.
+    Panic,
+    /// Spins until its token is cancelled (the divergence the paper's lazy
+    /// refinement can exhibit, distilled).  Proves deadline enforcement and
+    /// shutdown draining end to end.
+    Spin,
+    /// Calls [`std::process::abort`] — a hard fault `catch_unwind` can
+    /// never absorb.  Only survivable under process isolation
+    /// (`serve --isolate process`), which is exactly what it exists to
+    /// prove.  **Running it in-thread kills the host process.**
+    Abort,
+    /// Allocates (and touches) a bounded amount of memory, then diverges
+    /// until cancelled — the OOM-shaped failure mode, distilled to
+    /// something CI can afford.  Under a deadline it is cancelled
+    /// in-thread; under process isolation the child is killed.
+    MemHog,
+    /// Deterministic, program-selected faults: panics iff the program
+    /// declares two or more variables, reports `unknown` otherwise.
+    /// Stateless, so tests can drive one engine name through the full
+    /// circuit-breaker cycle (fault it open with a multi-variable program,
+    /// close it again with a single-variable probe) without any cross-test
+    /// shared state.
+    Flaky,
 }
 
 /// Per-chunk allocation size of the memory-hog shim.
@@ -261,71 +178,89 @@ const MEMHOG_CHUNK_BYTES: usize = 4 << 20;
 /// honest memory fault under a container limit, small enough for CI.
 const MEMHOG_CAP_BYTES: usize = 64 << 20;
 
-/// A fault-injection engine that hogs memory then diverges (see
-/// [`EngineSpec::MemHogShim`]).
-struct MemHogEngine;
+impl FaultShim {
+    /// Every shim, in protocol order.
+    pub const ALL: [FaultShim; 5] =
+        [FaultShim::Panic, FaultShim::Spin, FaultShim::Abort, FaultShim::MemHog, FaultShim::Flaky];
 
-impl VerificationEngine for MemHogEngine {
-    fn name(&self) -> &'static str {
-        "memhog-shim"
+    /// The shim's engine name in reports and the service protocol.
+    pub fn name(self) -> &'static str {
+        match self {
+            FaultShim::Panic => "panic-shim",
+            FaultShim::Spin => "spin-shim",
+            FaultShim::Abort => "abort-shim",
+            FaultShim::MemHog => "memhog-shim",
+            FaultShim::Flaky => "flaky-shim",
+        }
     }
 
-    fn verify_with_cancel(
-        &self,
-        _program: &Program,
-        token: &CancellationToken,
-    ) -> CoreResult<VerificationResult> {
-        let mut hog: Vec<Vec<u8>> = Vec::new();
-        while hog.len() * MEMHOG_CHUNK_BYTES < MEMHOG_CAP_BYTES && !token.is_cancelled() {
-            let mut chunk = vec![0u8; MEMHOG_CHUNK_BYTES];
-            // Touch every page so the allocation is resident, not lazy.
-            for i in (0..chunk.len()).step_by(4096) {
-                chunk[i] = 1;
-            }
-            hog.push(chunk);
-        }
-        while !token.is_cancelled() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        drop(hog);
-        Ok(VerificationResult {
-            verdict: Verdict::Cancelled,
-            refinements: 0,
-            predicates: 0,
-            art_nodes: 0,
-            predicate_map: PredicateMap::default(),
-            certificate: None,
-            stats: VerifierStats::default(),
-        })
+    /// The shim called `name`, if any.
+    pub fn from_name(name: &str) -> Option<FaultShim> {
+        FaultShim::ALL.into_iter().find(|shim| shim.name() == name)
+    }
+
+    /// Builds the runnable shim.
+    pub fn build(self) -> Box<dyn VerificationEngine> {
+        Box::new(self)
     }
 }
 
-/// A deterministically flaky fault-injection engine (see
-/// [`EngineSpec::FlakyShim`]).
-struct FlakyEngine;
+/// The result a shim reports when it returns at all.
+fn shim_result(verdict: Verdict) -> VerificationResult {
+    VerificationResult {
+        verdict,
+        refinements: 0,
+        predicates: 0,
+        art_nodes: 0,
+        predicate_map: PredicateMap::default(),
+        certificate: None,
+        stats: VerifierStats::default(),
+    }
+}
 
-impl VerificationEngine for FlakyEngine {
+/// Polls `token` the way real engines do at budget sites; the sleep keeps
+/// a "diverging" shim from burning a core.
+fn spin_until_cancelled(token: &CancellationToken) {
+    while !token.is_cancelled() {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+impl VerificationEngine for FaultShim {
     fn name(&self) -> &'static str {
-        "flaky-shim"
+        FaultShim::name(*self)
     }
 
     fn verify_with_cancel(
         &self,
         program: &Program,
-        _token: &CancellationToken,
+        token: &CancellationToken,
     ) -> CoreResult<VerificationResult> {
-        if program.vars().len() >= 2 {
-            panic!("injected flaky fault (flaky-shim engine, multi-variable program)");
+        match self {
+            FaultShim::Panic => panic!("injected panic (panic-shim engine)"),
+            FaultShim::Spin => spin_until_cancelled(token),
+            FaultShim::Abort => std::process::abort(),
+            FaultShim::MemHog => {
+                let mut hog: Vec<Vec<u8>> = Vec::new();
+                while hog.len() * MEMHOG_CHUNK_BYTES < MEMHOG_CAP_BYTES && !token.is_cancelled() {
+                    let mut chunk = vec![0u8; MEMHOG_CHUNK_BYTES];
+                    // Touch every page so the allocation is resident, not lazy.
+                    for i in (0..chunk.len()).step_by(4096) {
+                        chunk[i] = 1;
+                    }
+                    hog.push(chunk);
+                }
+                spin_until_cancelled(token);
+            }
+            FaultShim::Flaky => {
+                if program.vars().len() >= 2 {
+                    panic!("injected flaky fault (flaky-shim engine, multi-variable program)");
+                }
+                let reason = "flaky-shim verifies nothing".to_string();
+                return Ok(shim_result(Verdict::Unknown { reason }));
+            }
         }
-        Ok(VerificationResult {
-            verdict: Verdict::Unknown { reason: "flaky-shim verifies nothing".to_string() },
-            refinements: 0,
-            predicates: 0,
-            art_nodes: 0,
-            predicate_map: PredicateMap::default(),
-            certificate: None,
-            stats: VerifierStats::default(),
-        })
+        Ok(shim_result(Verdict::Cancelled))
     }
 }
 
@@ -576,8 +511,11 @@ mod tests {
     #[test]
     fn panic_shim_reports_error_and_the_thread_survives() {
         let program = parse_program(BUG).unwrap();
-        let outcome =
-            run_job(&JobSpec::new(EngineSpec::PanicShim), &program, &CancellationToken::new());
+        let outcome = run_job(
+            &JobSpec::new(EngineSpec::Fault(FaultShim::Panic)),
+            &program,
+            &CancellationToken::new(),
+        );
         assert_eq!(outcome.verdict, "error");
         assert!(outcome.detail.contains("panicked"), "detail: {}", outcome.detail);
         assert!(outcome.detail.contains("injected panic"), "detail: {}", outcome.detail);
@@ -587,7 +525,7 @@ mod tests {
     #[test]
     fn spin_shim_deadline_yields_honest_cancelled() {
         let program = parse_program(BUG).unwrap();
-        let spec = JobSpec::with_timeout_ms(EngineSpec::SpinShim, Some(30));
+        let spec = JobSpec::with_timeout_ms(EngineSpec::Fault(FaultShim::Spin), Some(30));
         let start = Instant::now();
         let outcome = run_job(&spec, &program, &CancellationToken::new());
         assert_eq!(outcome.verdict, "cancelled");
@@ -601,7 +539,7 @@ mod tests {
     #[test]
     fn memhog_shim_deadline_yields_honest_cancelled() {
         let program = parse_program(BUG).unwrap();
-        let spec = JobSpec::with_timeout_ms(EngineSpec::MemHogShim, Some(50));
+        let spec = JobSpec::with_timeout_ms(EngineSpec::Fault(FaultShim::MemHog), Some(50));
         let outcome = run_job(&spec, &program, &CancellationToken::new());
         assert_eq!(outcome.verdict, "cancelled");
         assert!(outcome.deadline_expired, "the watchdog fired this cancellation");
@@ -612,11 +550,21 @@ mod tests {
     fn flaky_shim_faults_are_selected_by_the_program() {
         let one_var = parse_program(BUG).unwrap();
         let two_var = parse_program("proc f(x: int, y: int) { x = 1; assert(x == 1); }").unwrap();
-        let ok = run_job(&JobSpec::new(EngineSpec::FlakyShim), &one_var, &CancellationToken::new());
+        let ok = run_job(
+            &JobSpec::new(EngineSpec::Fault(FaultShim::Flaky)),
+            &one_var,
+            &CancellationToken::new(),
+        );
         assert_eq!(ok.verdict, "unknown");
-        assert!(EngineSpec::FlakyShim.is_shim(), "serve must exclude flaky verdicts from caching");
-        let fault =
-            run_job(&JobSpec::new(EngineSpec::FlakyShim), &two_var, &CancellationToken::new());
+        assert!(
+            EngineSpec::Fault(FaultShim::Flaky).is_shim(),
+            "serve must exclude flaky verdicts from caching"
+        );
+        let fault = run_job(
+            &JobSpec::new(EngineSpec::Fault(FaultShim::Flaky)),
+            &two_var,
+            &CancellationToken::new(),
+        );
         assert_eq!(fault.verdict, "error");
         assert!(fault.detail.contains("flaky fault"), "detail: {}", fault.detail);
     }

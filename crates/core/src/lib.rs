@@ -65,8 +65,8 @@ pub use cegar::{CegarConfig, RefinerKind, Verdict, VerificationResult, Verifier,
 pub use engine::{engine_named, verdict_name, VerificationEngine};
 pub use error::{CoreError, CoreResult};
 pub use job::{
-    job_fingerprint, program_structure_id, refiner_name, run_job, EngineSpec, JobOutcome, JobSpec,
-    NO_REFINER,
+    job_fingerprint, program_structure_id, refiner_name, run_job, EngineSpec, FaultShim,
+    JobOutcome, JobSpec, NO_REFINER,
 };
 pub use pathprog::{path_program, PathProgram};
 pub use pdr::{PdrConfig, PdrEngine};
