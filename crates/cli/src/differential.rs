@@ -18,7 +18,7 @@
 //! `differential-smoke` CI job runs exactly that over the full corpus.
 
 use crate::json::Json;
-use crate::{engine_rank, BatchReport};
+use crate::{engine_label, engine_rank, BatchReport};
 use std::collections::BTreeMap;
 
 /// One engine's verdict on one program.
@@ -34,13 +34,9 @@ pub struct EngineVerdict {
 
 impl EngineVerdict {
     /// The engine/refiner column label (`"cegar/path-invariants"`, `"bmc"`,
-    /// ...), matching [`TaskReport::engine_label`](crate::TaskReport).
+    /// ...), as [`engine_label`] spells it.
     pub fn label(&self) -> String {
-        if self.refiner == crate::NO_REFINER {
-            self.engine.clone()
-        } else {
-            format!("{}/{}", self.engine, self.refiner)
-        }
+        engine_label(&self.engine, &self.refiner)
     }
 }
 

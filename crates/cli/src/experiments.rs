@@ -1,37 +1,42 @@
 //! The deterministic benchmark-trajectory experiment (`bench`): verifies
-//! the full corpus under both refiners, cached and uncached, and emits the
-//! `BENCH_pr12.json` trajectory point.
+//! the full corpus under both refiners, cached and uncached, and emits a
+//! trajectory point.
 //!
 //! This is the CI entry point of the perf trajectory: the `bench-smoke` job
-//! runs it with `--check tests/golden/bench.json` (fails the build when the
-//! report schema or any deterministic field — verdict, refinement count,
-//! solver-call and cache counters — drifts from the committed golden) and
-//! `--compare-previous BENCH_pr10.json` (fails on any per-task regression of
-//! a gated counter — `solver_calls`, `simplex_calls`, the refine-phase cold
+//! runs it with `--bench-json bench-point.json` (an uncommitted artifact, so
+//! the committed point stays the baseline), `--check tests/golden/bench.json`
+//! (fails the build when the report schema or any deterministic field —
+//! verdict, refinement count, solver-call and cache counters — drifts from
+//! the committed golden) and `--compare-previous BENCH_pr12.json` (fails on
+//! any per-task regression of a counter the `pathinv-core` counter table
+//! marks [`GATED`] — `solver_calls`, `simplex_calls`, the refine-phase cold
 //! simplex calls `phases.refine_simplex_calls`, and the synthesis frontier
-//! `synth_branches_explored` — against the committed previous trajectory
+//! `synth_branches_explored` — against the latest committed trajectory
 //! point; wall-clock stays informational, and counters the previous point's
 //! schema predates are not gated).  Local regeneration after an intentional
-//! change is `cargo run --release -p pathinv-cli -- --bless`.
+//! change is `cargo run --release -p pathinv-cli -- --bless`, which rewrites
+//! the goldens but writes its point to the uncommitted `bench-point.json`,
+//! so blessing never moves the gate's baseline; a change that means to move
+//! it commits that file as the next `BENCH_prN.json` and points the CI job
+//! at it.
 
 use crate::json::{self, Json};
 use crate::trajectory::{run_trajectory, TrajectoryReport};
+use pathinv_core::{Counter, CounterGroup, COUNTERS, GATED};
 
 /// Configuration of one `bench` experiment run.
 #[derive(Clone, Debug, Default)]
 pub struct BenchConfig {
     /// Worker threads (defaults to available parallelism).
     pub jobs: Option<usize>,
-    /// Where to write the full trajectory report (`BENCH_pr12.json`).
+    /// Where to write the full trajectory report (`bench-point.json` in CI).
     pub bench_json: Option<String>,
     /// Where to write the deterministic golden projection.
     pub bench_golden: Option<String>,
     /// A committed golden to diff the run against; any drift is an error.
     pub check: Option<String>,
-    /// A committed *previous* trajectory point (`BENCH_pr10.json`); any
-    /// per-task regression of a gated counter (`solver_calls`,
-    /// `simplex_calls`, `phases.refine_simplex_calls`,
-    /// `synth_branches_explored`) against it is an error.
+    /// A committed *previous* trajectory point (`BENCH_pr12.json`); any
+    /// per-task regression of a [`GATED`] counter against it is an error.
     pub compare_previous: Option<String>,
 }
 
@@ -66,18 +71,19 @@ pub fn run_bench(config: &BenchConfig) -> Result<TrajectoryReport, String> {
             parity.join("\n  ")
         ));
     }
+    let totals = trajectory.cached.totals();
     println!(
         "solver calls: {} cached vs {} uncached baseline ({:.1}% saved; \
          query hit rate {:.1}%, post-memo hit rate {:.1}%)",
-        trajectory.totals.solver_calls,
-        trajectory.baseline.solver_calls,
+        totals.solver_calls,
+        trajectory.uncached.totals().solver_calls,
         trajectory.solver_call_reduction() * 100.0,
-        rate(trajectory.totals.query_cache_hits, trajectory.totals.smt_queries) * 100.0,
-        rate(trajectory.totals.post_cache_hits, trajectory.totals.post_queries) * 100.0,
+        totals.query_hit_rate() * 100.0,
+        totals.post_hit_rate() * 100.0,
     );
     println!(
         "simplex: {} cold solves + {} warm incremental re-checks (cached run)",
-        trajectory.totals.simplex_calls, trajectory.totals.simplex_warm_checks,
+        totals.simplex_calls, totals.simplex_warm_checks,
     );
     if let Some(path) = &config.bench_json {
         std::fs::write(path, trajectory.to_json().pretty())
@@ -110,18 +116,19 @@ pub fn run_bench(config: &BenchConfig) -> Result<TrajectoryReport, String> {
                 regressions.join("\n  ")
             ));
         }
+        let gated: Vec<&str> = gated_counters().map(|c| c.name).collect();
         println!(
-            "no per-task regression of the gated counters (solver_calls, simplex_calls, \
-             refine_simplex_calls, synth_branches_explored) against {path}"
+            "no per-task regression of the gated counters ({}) against {path}",
+            gated.join(", ")
         );
     }
     Ok(trajectory)
 }
 
 /// Compares two full trajectory documents task by task (matched on
-/// `(program, refiner)`) and reports every *increase* of a gated counter —
-/// `solver_calls`, `simplex_calls`, the refine-phase cold simplex calls
-/// (`phases.refine_simplex_calls`), or the synthesis frontier size
+/// `(program, refiner)`) and reports every *increase* of a [`GATED`]
+/// counter — `solver_calls`, `simplex_calls`, the refine-phase cold simplex
+/// calls (`phases.refine_simplex_calls`), or the synthesis frontier size
 /// (`synth_branches_explored`) — in `current` over `previous`, plus any
 /// task the current run no longer produces.  New tasks (absent from the
 /// previous point), wall-clock changes, and counters the previous point's
@@ -142,20 +149,11 @@ pub fn run_bench(config: &BenchConfig) -> Result<TrajectoryReport, String> {
 /// regress against on exactly those tasks.  Once both points are v4+, the
 /// exemption disappears and `unsafe` tasks gate again.
 pub fn counter_regressions(previous: &Json, current: &Json) -> Vec<String> {
-    /// A gated counter: its report label and the path to read it from a
-    /// task object (top-level field, or one nested under `phases`).
-    const GATED: [(&str, &[&str]); 4] = [
-        ("solver_calls", &["solver_calls"]),
-        ("simplex_calls", &["simplex_calls"]),
-        ("refine_simplex_calls", &["phases", "refine_simplex_calls"]),
-        ("synth_branches_explored", &["synth_branches_explored"]),
-    ];
-    fn lookup(task: &Json, path: &[&str]) -> Option<i64> {
-        let mut v = task;
-        for key in path {
-            v = v.get(key)?;
-        }
-        v.as_int()
+    /// Reads a counter from a task object: a top-level field, or one nested
+    /// under `phases`.
+    fn lookup(task: &Json, counter: &Counter) -> Option<i64> {
+        let holder = if counter.group == CounterGroup::Phase { task.get("phases")? } else { task };
+        holder.get(counter.name)?.as_int()
     }
     let tasks = |doc: &Json| -> Vec<Json> {
         doc.get("tasks").and_then(Json::as_array).map(<[Json]>::to_vec).unwrap_or_default()
@@ -190,14 +188,14 @@ pub fn counter_regressions(previous: &Json, current: &Json) -> Vec<String> {
             // conclude `unsafe`; there is no like-for-like baseline.
             continue;
         }
-        for (label, path) in GATED {
+        for counter in gated_counters() {
             // A counter the previous point's schema predates cannot have a
             // baseline to regress against; skip it rather than treating the
             // missing value as zero.
-            let Some(was) = lookup(&prev, path) else { continue };
-            let now = lookup(cur, path).unwrap_or(0);
+            let Some(was) = lookup(&prev, counter) else { continue };
+            let now = lookup(cur, counter).unwrap_or(0);
             if now > was {
-                out.push(format!("{k:?}: {label} regressed {was} -> {now}"));
+                out.push(format!("{k:?}: {} regressed {was} -> {now}", counter.name));
             }
         }
     }
@@ -214,12 +212,9 @@ pub fn load_golden(path: &str) -> Result<Json, String> {
     json::parse(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))
 }
 
-fn rate(hits: u64, total: u64) -> f64 {
-    if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64
-    }
+/// The counters the `--compare-previous` gate checks, in table order.
+fn gated_counters() -> impl Iterator<Item = &'static Counter> {
+    COUNTERS.iter().filter(|c| c.has(GATED))
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@
 //! values, machines, and reruns.
 
 use crate::json::Json;
-use crate::{TaskEngine, DEFAULT_BASELINE_REFINEMENTS};
+use crate::{engine_label, TaskEngine, DEFAULT_BASELINE_REFINEMENTS};
 use pathinv_bench::generator::{
     generate_campaign, realize, Expected, GeneratedProgram, Realized, Scenario,
 };
@@ -217,13 +217,6 @@ fn portfolio() -> Vec<TaskEngine> {
         TaskEngine::Bmc(BmcConfig::default()),
         TaskEngine::Pdr(PdrConfig::default()),
     ]
-}
-
-fn engine_label(engine: &TaskEngine) -> String {
-    match engine {
-        TaskEngine::Cegar(_) => format!("{}/{}", engine.engine_name(), engine.refiner_name()),
-        _ => engine.engine_name().to_string(),
-    }
 }
 
 fn run_engine(
@@ -444,7 +437,7 @@ fn check_program(
         .map(|e| {
             counts.engine_runs += 1;
             let (verdict, certificate) = run_engine(e, &p.program, timeout_ms);
-            (engine_label(e), verdict, certificate)
+            (engine_label(e.engine_name(), e.refiner_name()), verdict, certificate)
         })
         .collect();
 

@@ -21,7 +21,7 @@
 //! `tests/golden/corpus.json`, so a PR that flips a verdict, blows up
 //! refinement counts, or regresses solver-call discipline fails tier-1
 //! immediately.  The [`trajectory`] module builds the benchmark trajectory
-//! point (`BENCH_pr12.json`) on the same harness.
+//! point (`BENCH_prN.json`) on the same harness.
 //!
 //! Every conclusive verdict additionally carries a certificate (an
 //! inductive invariant map, a bounded-unroll claim, or a concrete trace)
@@ -56,7 +56,7 @@ use std::time::Instant;
 // every harness).  Both are re-exported under their historical `pathinv-cli`
 // paths so downstream callers and tests are unaffected by the extraction.
 pub use pathinv_core::{refiner_name, EngineSpec as TaskEngine, NO_REFINER};
-pub use pathinv_report::{engine_rank, json, TaskReport, SCHEMA_VERSION};
+pub use pathinv_report::{engine_label, engine_rank, json, TaskReport, SCHEMA_VERSION};
 
 use json::Json;
 
@@ -484,9 +484,13 @@ impl BatchReport {
         ])
     }
 
-    /// Sum of a per-task counter over the whole batch.
-    pub fn total(&self, field: impl Fn(&VerifierStats) -> u64) -> u64 {
-        self.tasks.iter().map(|t| field(&t.stats)).sum()
+    /// Every counter (and phase timer) summed over the whole batch.
+    pub fn totals(&self) -> VerifierStats {
+        let mut totals = VerifierStats::default();
+        for t in &self.tasks {
+            totals.add(&t.stats);
+        }
+        totals
     }
 
     /// A human-readable fixed-width summary table.
@@ -527,6 +531,7 @@ impl BatchReport {
             ));
         }
         out.push_str(&format!("{}\n", "-".repeat(rule)));
+        let totals = self.totals();
         out.push_str(&format!(
             "{} tasks on {} workers in {}: {} safe, {} unsafe, {} unknown, {} errors; \
              {} solver calls, {} cache hits\n",
@@ -537,8 +542,8 @@ impl BatchReport {
             count_verdicts(&self.tasks, "unsafe"),
             count_verdicts(&self.tasks, "unknown"),
             count_verdicts(&self.tasks, "error"),
-            self.total(|s| s.solver_calls),
-            self.total(|s| s.query_cache_hits + s.post_cache_hits),
+            totals.solver_calls,
+            totals.query_cache_hits + totals.post_cache_hits,
         ));
         out
     }

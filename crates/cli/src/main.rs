@@ -9,7 +9,7 @@
 
 use pathinv_cli::differential::DifferentialReport;
 use pathinv_cli::flags::{usage_error, Flags};
-use pathinv_cli::trajectory::trajectory_from_cached;
+use pathinv_cli::trajectory::{trajectory_from_cached, BLESS_POINT};
 use pathinv_cli::{
     corpus_programs, load_pinv_file, make_tasks, run_batch, write_output, EngineChoice,
     RefinerChoice,
@@ -155,9 +155,11 @@ OPTIONS:
                            tasks (same verdicts, more solver calls)
     --bless                regenerate every committed golden snapshot
                            (tests/golden/corpus.json, tests/golden/bench.json)
-                           and the BENCH_pr12.json trajectory point (including
-                           its race, serve, supervision, and certificate-audit
-                           sections); run from the repository root
+                           and write the trajectory point (including its race,
+                           serve, supervision, and certificate-audit sections)
+                           to the uncommitted bench-point.json, leaving the
+                           committed BENCH_pr*.json baselines untouched; run
+                           from the repository root
     --quiet                suppress the summary table
     --help                 show this help
 
@@ -288,13 +290,13 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// Regenerates every committed golden snapshot and the trajectory point.
-/// Paths are relative to the current directory, which must be the
-/// repository root.
+/// Regenerates every committed golden snapshot and writes the trajectory
+/// point to [`BLESS_POINT`], never over a committed `BENCH_prN.json`
+/// baseline.  Paths are relative to the current directory, which must be
+/// the repository root.
 fn bless(jobs: usize) -> ExitCode {
     const CORPUS_GOLDEN: &str = "tests/golden/corpus.json";
     const BENCH_GOLDEN: &str = "tests/golden/bench.json";
-    const BENCH_POINT: &str = "BENCH_pr12.json";
     if !std::path::Path::new("tests/golden").is_dir() {
         eprintln!("error: tests/golden/ not found; run --bless from the repository root");
         return ExitCode::FAILURE;
@@ -431,7 +433,7 @@ fn bless(jobs: usize) -> ExitCode {
     let writes = [
         (CORPUS_GOLDEN, portfolio.to_golden_json().pretty()),
         (BENCH_GOLDEN, trajectory.to_golden_json().pretty()),
-        (BENCH_POINT, trajectory.to_json().pretty()),
+        (BLESS_POINT, trajectory.to_json().pretty()),
     ];
     for (path, text) in writes {
         if let Err(e) = std::fs::write(path, text) {
@@ -442,8 +444,8 @@ fn bless(jobs: usize) -> ExitCode {
     }
     eprintln!(
         "solver calls: {} cached vs {} uncached ({:.1}% saved)",
-        trajectory.totals.solver_calls,
-        trajectory.baseline.solver_calls,
+        trajectory.cached.totals().solver_calls,
+        trajectory.uncached.totals().solver_calls,
         trajectory.solver_call_reduction() * 100.0
     );
     let valid = trajectory.cached.tasks.iter().filter(|t| t.cert_verdict == "valid").count();

@@ -33,6 +33,7 @@ use crate::{
 };
 use pathinv_core::CancellationToken;
 use pathinv_ir::Program;
+use pathinv_report::round3;
 use std::sync::mpsc;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -398,10 +399,6 @@ impl RaceReport {
         ));
         out
     }
-}
-
-fn round3(x: f64) -> f64 {
-    (x * 1e3).round() / 1e3
 }
 
 #[cfg(test)]

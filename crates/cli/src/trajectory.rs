@@ -1,7 +1,8 @@
 //! The benchmark-trajectory report: one deterministic measurement point of
-//! the corpus-wide solver workload, emitted as `BENCH_pr12.json`
-//! (`BENCH_pr10.json` is the committed previous point the bench-smoke CI job
-//! diffs against for per-task counter regressions), plus the [`render_history`]
+//! the corpus-wide solver workload (committed points are named
+//! `BENCH_prN.json`; the latest, `BENCH_pr12.json`, is the baseline the
+//! bench-smoke CI job diffs a fresh run against for per-task counter
+//! regressions), plus the [`render_history`]
 //! aggregation that renders every committed `BENCH_*.json` as one per-PR
 //! table (`pathinv-cli trajectory --history`).
 //!
@@ -23,6 +24,8 @@ use crate::json::Json;
 use crate::{
     corpus_programs, make_tasks, BatchReport, EngineChoice, RefinerChoice, SCHEMA_VERSION,
 };
+use pathinv_core::{VerifierStats, TOTAL};
+use pathinv_report::{counter_fields, round3};
 
 /// Schema version of the trajectory report, bumped on breaking layout
 /// changes.  Distinct from the batch-report schema version, though both are
@@ -51,61 +54,8 @@ use crate::{
 /// emitted point — timing data only, absent from the golden projection.
 pub const BENCH_SCHEMA_VERSION: i64 = 8;
 
-/// Totals of the counters that matter for the trajectory.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TrajectoryTotals {
-    /// Combined-solver invocations summed over all tasks.
-    pub solver_calls: u64,
-    /// Cold simplex solves (tableau constructions) summed over all tasks.
-    pub simplex_calls: u64,
-    /// Warm incremental simplex re-checks summed over all tasks.
-    pub simplex_warm_checks: u64,
-    /// Boolean queries through the incremental contexts.
-    pub smt_queries: u64,
-    /// Context queries answered from the keyed cache.
-    pub query_cache_hits: u64,
-    /// Abstract-post cube requests.
-    pub post_queries: u64,
-    /// Cube requests answered from the post memo.
-    pub post_cache_hits: u64,
-    /// Cold simplex solves attributed to the refinement phase (where the
-    /// Farkas systems of invariant synthesis live) — the counter the PR 5
-    /// acceptance gate tracks.
-    pub refine_simplex_calls: u64,
-    /// LP systems solved by the synthesis frontier search.
-    pub synth_systems_solved: u64,
-    /// Frontier branches explored by the synthesis search.
-    pub synth_branches_explored: u64,
-    /// Branches pruned by conflict cores and presolve refutation.
-    pub synth_branches_pruned: u64,
-    /// Minimal Farkas conflict cores learned.
-    pub synth_cores_learned: u64,
-    /// Syntheses replayed from the cross-refinement memo.
-    pub synth_memo_hits: u64,
-}
-
-impl TrajectoryTotals {
-    fn from_batch(report: &BatchReport) -> TrajectoryTotals {
-        TrajectoryTotals {
-            solver_calls: report.total(|s| s.solver_calls),
-            simplex_calls: report.total(|s| s.simplex_calls),
-            simplex_warm_checks: report.total(|s| s.simplex_warm_checks),
-            smt_queries: report.total(|s| s.smt_queries),
-            query_cache_hits: report.total(|s| s.query_cache_hits),
-            post_queries: report.total(|s| s.post_queries),
-            post_cache_hits: report.total(|s| s.post_cache_hits),
-            refine_simplex_calls: report.total(|s| s.refine_simplex_calls),
-            synth_systems_solved: report.total(|s| s.synth_systems_solved),
-            synth_branches_explored: report.total(|s| s.synth_branches_explored),
-            synth_branches_pruned: report.total(|s| s.synth_branches_pruned),
-            synth_cores_learned: report.total(|s| s.synth_cores_learned),
-            synth_memo_hits: report.total(|s| s.synth_memo_hits),
-        }
-    }
-}
-
-/// The outcome of one trajectory run: the cached corpus batch, the uncached
-/// baseline batch, and their totals.
+/// The outcome of one trajectory run: the cached corpus batch and the
+/// uncached baseline batch.
 #[derive(Clone, Debug)]
 pub struct TrajectoryReport {
     /// The corpus run with the incremental caches on.
@@ -113,10 +63,6 @@ pub struct TrajectoryReport {
     /// The corpus run with the caches off (same verdicts, more solver
     /// calls).
     pub uncached: BatchReport,
-    /// Totals of the cached run.
-    pub totals: TrajectoryTotals,
-    /// Totals of the uncached baseline.
-    pub baseline: TrajectoryTotals,
     /// An optional racing-portfolio run over the same corpus, rendered as
     /// the `race` section of the emitted point (never of the golden
     /// projection — race timings are machine-dependent by nature).
@@ -226,29 +172,23 @@ pub fn trajectory_from_cached(cached: BatchReport, jobs: usize) -> TrajectoryRep
         t.disable_cegar_caching();
     }
     let uncached = crate::run_batch(baseline_tasks, jobs);
-    let totals = TrajectoryTotals::from_batch(&cached);
-    let baseline = TrajectoryTotals::from_batch(&uncached);
-    TrajectoryReport {
-        cached,
-        uncached,
-        totals,
-        baseline,
-        race: None,
-        serve: None,
-        supervision: None,
-    }
+    TrajectoryReport { cached, uncached, race: None, serve: None, supervision: None }
 }
 
 fn round4(x: f64) -> f64 {
     (x * 1e4).round() / 1e4
 }
 
-fn rate(hits: u64, total: u64) -> f64 {
-    if total == 0 {
-        0.0
-    } else {
-        round4(hits as f64 / total as f64)
-    }
+/// A `totals` section: the summed [`TOTAL`] counters, the hit rates, and
+/// the batch wall-clock.
+fn totals_json(t: &VerifierStats, wall_ms: f64) -> Json {
+    let mut fields: Vec<_> = counter_fields(t, |c| c.has(TOTAL)).collect();
+    fields.extend([
+        ("query_hit_rate", Json::Float(round4(t.query_hit_rate()))),
+        ("post_hit_rate", Json::Float(round4(t.post_hit_rate()))),
+        ("wall_ms", Json::Float(round3(wall_ms))),
+    ]);
+    Json::object(fields)
 }
 
 impl TrajectoryReport {
@@ -291,14 +231,14 @@ impl TrajectoryReport {
     /// Fraction of baseline solver calls eliminated by the caches, in
     /// `[0, 1]`.
     pub fn solver_call_reduction(&self) -> f64 {
-        if self.baseline.solver_calls == 0 {
+        let baseline = self.uncached.totals().solver_calls;
+        if baseline == 0 {
             return 0.0;
         }
-        let saved = self.baseline.solver_calls.saturating_sub(self.totals.solver_calls);
-        saved as f64 / self.baseline.solver_calls as f64
+        baseline.saturating_sub(self.cached.totals().solver_calls) as f64 / baseline as f64
     }
 
-    /// The full JSON rendering (the contents of `BENCH_pr12.json`): the
+    /// The full JSON rendering (the contents of a `BENCH_prN.json` point): the
     /// deterministic fields plus wall-clock, and — when a racing run was
     /// attached — the `race` section with the per-program winner and every
     /// lane's time-to-first-verdict.
@@ -310,20 +250,16 @@ impl TrajectoryReport {
             ("jobs", Json::Int(self.cached.jobs as i64)),
             ("tasks", Json::Array(self.cached.tasks.iter().map(|t| t.to_json()).collect())),
         ];
-        fields.push(("totals", self.totals_json(&self.totals, self.cached.wall_ms_total)));
-        fields.push((
-            "uncached_baseline",
-            self.totals_json(&self.baseline, self.uncached.wall_ms_total),
-        ));
+        let (totals, baseline) = (self.cached.totals(), self.uncached.totals());
+        fields.push(("totals", totals_json(&totals, self.cached.wall_ms_total)));
+        fields.push(("uncached_baseline", totals_json(&baseline, self.uncached.wall_ms_total)));
         fields.push(("certificates", self.certificates_json()));
         fields.push((
             "reduction",
             Json::object(vec![
                 (
                     "solver_calls_saved",
-                    Json::Int(
-                        self.baseline.solver_calls.saturating_sub(self.totals.solver_calls) as i64
-                    ),
+                    Json::Int(baseline.solver_calls.saturating_sub(totals.solver_calls) as i64),
                 ),
                 ("solver_calls_fraction", Json::Float(round4(self.solver_call_reduction()))),
             ]),
@@ -362,47 +298,12 @@ impl TrajectoryReport {
         ])
     }
 
-    fn totals_json(&self, t: &TrajectoryTotals, wall_ms: f64) -> Json {
-        Json::object(vec![
-            ("solver_calls", Json::Int(t.solver_calls as i64)),
-            ("simplex_calls", Json::Int(t.simplex_calls as i64)),
-            ("simplex_warm_checks", Json::Int(t.simplex_warm_checks as i64)),
-            ("smt_queries", Json::Int(t.smt_queries as i64)),
-            ("query_cache_hits", Json::Int(t.query_cache_hits as i64)),
-            ("post_queries", Json::Int(t.post_queries as i64)),
-            ("post_cache_hits", Json::Int(t.post_cache_hits as i64)),
-            ("refine_simplex_calls", Json::Int(t.refine_simplex_calls as i64)),
-            ("synth_systems_solved", Json::Int(t.synth_systems_solved as i64)),
-            ("synth_branches_explored", Json::Int(t.synth_branches_explored as i64)),
-            ("synth_branches_pruned", Json::Int(t.synth_branches_pruned as i64)),
-            ("synth_cores_learned", Json::Int(t.synth_cores_learned as i64)),
-            ("synth_memo_hits", Json::Int(t.synth_memo_hits as i64)),
-            ("query_hit_rate", Json::Float(rate(t.query_cache_hits, t.smt_queries))),
-            ("post_hit_rate", Json::Float(rate(t.post_cache_hits, t.post_queries))),
-            ("wall_ms", Json::Float((wall_ms * 1e3).round() / 1e3)),
-        ])
-    }
-
     /// The deterministic projection committed as `tests/golden/bench.json`:
     /// per-task verdict/refinement/counter fields and the counter totals,
     /// with every wall-clock field dropped.
     pub fn to_golden_json(&self) -> Json {
-        let totals_golden = |t: &TrajectoryTotals| {
-            Json::object(vec![
-                ("solver_calls", Json::Int(t.solver_calls as i64)),
-                ("simplex_calls", Json::Int(t.simplex_calls as i64)),
-                ("simplex_warm_checks", Json::Int(t.simplex_warm_checks as i64)),
-                ("smt_queries", Json::Int(t.smt_queries as i64)),
-                ("query_cache_hits", Json::Int(t.query_cache_hits as i64)),
-                ("post_queries", Json::Int(t.post_queries as i64)),
-                ("post_cache_hits", Json::Int(t.post_cache_hits as i64)),
-                ("refine_simplex_calls", Json::Int(t.refine_simplex_calls as i64)),
-                ("synth_systems_solved", Json::Int(t.synth_systems_solved as i64)),
-                ("synth_branches_explored", Json::Int(t.synth_branches_explored as i64)),
-                ("synth_branches_pruned", Json::Int(t.synth_branches_pruned as i64)),
-                ("synth_cores_learned", Json::Int(t.synth_cores_learned as i64)),
-                ("synth_memo_hits", Json::Int(t.synth_memo_hits as i64)),
-            ])
+        let totals_golden = |batch: &BatchReport| {
+            Json::object(counter_fields(&batch.totals(), |c| c.has(TOTAL)).collect())
         };
         Json::object(vec![
             ("bench_schema_version", Json::Int(BENCH_SCHEMA_VERSION)),
@@ -411,8 +312,8 @@ impl TrajectoryReport {
                 "tasks",
                 Json::Array(self.cached.tasks.iter().map(|t| t.to_golden_task_json()).collect()),
             ),
-            ("totals", totals_golden(&self.totals)),
-            ("uncached_baseline", totals_golden(&self.baseline)),
+            ("totals", totals_golden(&self.cached)),
+            ("uncached_baseline", totals_golden(&self.uncached)),
         ])
     }
 
@@ -461,6 +362,13 @@ impl TrajectoryReport {
         failures
     }
 }
+
+/// Where `--bless` writes its trajectory point.  Deliberately not a
+/// `BENCH_prN.json` name: those committed points are the baselines of
+/// `--compare-previous`, and a bless that rewrote one would let the gate
+/// compare a run with itself.  The baseline moves only when a change copies
+/// this file to the next `BENCH_prN.json` on purpose.
+pub const BLESS_POINT: &str = "bench-point.json";
 
 /// Collects every committed `BENCH_*.json` trajectory point in `dir`,
 /// sorted by the embedded PR number (then name), each parsed as JSON.
@@ -608,17 +516,7 @@ mod tests {
             t.disable_cegar_caching();
         }
         let uncached = crate::run_batch(tasks, 2);
-        let totals = TrajectoryTotals::from_batch(&cached);
-        let baseline = TrajectoryTotals::from_batch(&uncached);
-        TrajectoryReport {
-            cached,
-            uncached,
-            totals,
-            baseline,
-            race: None,
-            serve: None,
-            supervision: None,
-        }
+        TrajectoryReport { cached, uncached, race: None, serve: None, supervision: None }
     }
 
     #[test]
@@ -631,8 +529,8 @@ mod tests {
             assert_eq!(c.refinements, u.refinements);
         }
         // The uncached baseline never hits a cache.
-        assert_eq!(report.baseline.query_cache_hits, 0);
-        assert_eq!(report.baseline.post_cache_hits, 0);
+        assert_eq!(report.uncached.totals().query_cache_hits, 0);
+        assert_eq!(report.uncached.totals().post_cache_hits, 0);
         // The emitted JSON parses and carries both schema stamps.
         let doc = json::parse(&report.to_json().pretty()).expect("bench JSON must parse");
         assert_eq!(
@@ -644,6 +542,47 @@ mod tests {
         // A run checked against its own golden projection reports no drift.
         let golden = json::parse(&report.to_golden_json().pretty()).unwrap();
         assert_eq!(report.check_against_golden(&golden), Vec::<String>::new());
+    }
+
+    /// The serve protocol, the verdict-cache journal, `--json` consumers and
+    /// perfbench read task records and totals by key name, so their ordered
+    /// layout is a contract: a change here is a schema change.
+    #[test]
+    fn task_and_totals_key_layout_is_pinned() {
+        fn keys(obj: &Json) -> String {
+            match obj {
+                Json::Object(pairs) => {
+                    pairs.iter().map(|(k, _)| k.as_str()).collect::<Vec<_>>().join(" ")
+                }
+                other => panic!("expected an object, got {other:?}"),
+            }
+        }
+        let doc = mini_trajectory().to_json();
+        let task = &doc.get("tasks").and_then(Json::as_array).unwrap()[0];
+        assert_eq!(
+            keys(task),
+            "program engine refiner verdict detail refinements predicates art_nodes wall_ms \
+             solver_calls simplex_calls simplex_warm_checks interpolant_calls smt_queries \
+             query_cache_hits post_queries post_cache_hits query_hit_rate engine_depth \
+             engine_nodes engine_lemmas cert_kind cert_size cert_digest cert_verdict \
+             cert_reason cert_check_ms synth_systems_solved synth_branches_explored \
+             synth_branches_pruned synth_cores_learned synth_memo_hits phases"
+        );
+        assert_eq!(
+            keys(task.get("phases").unwrap()),
+            "reach_solver_calls cex_solver_calls refine_solver_calls reach_simplex_calls \
+             cex_simplex_calls refine_simplex_calls reach_ms cex_ms refine_ms"
+        );
+        for section in ["totals", "uncached_baseline"] {
+            assert_eq!(
+                keys(doc.get(section).unwrap()),
+                "solver_calls simplex_calls simplex_warm_checks smt_queries query_cache_hits \
+                 post_queries post_cache_hits refine_simplex_calls synth_systems_solved \
+                 synth_branches_explored synth_branches_pruned synth_cores_learned \
+                 synth_memo_hits query_hit_rate post_hit_rate wall_ms",
+                "{section}"
+            );
+        }
     }
 
     #[test]
@@ -691,6 +630,8 @@ mod tests {
         )
         .unwrap();
         std::fs::write(dir.join("not-a-point.json"), "{}").unwrap();
+        // What `--bless` writes is never a history point, so never a baseline.
+        std::fs::write(dir.join(BLESS_POINT), "{}").unwrap();
         let points = collect_history(&dir).unwrap();
         let names: Vec<&str> = points.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["BENCH_pr2.json", "BENCH_pr9.json", "BENCH_pr10.json"]);

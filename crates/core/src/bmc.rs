@@ -155,19 +155,13 @@ impl VerificationEngine for BmcEngine {
                 }
             }
         };
-        let delta = stats_snapshot().since(&smt_start);
         let ctx_stats = search.ctx.stats();
         let stats = VerifierStats {
-            solver_calls: delta.sat_checks,
-            simplex_calls: delta.simplex_calls,
-            simplex_warm_checks: delta.simplex_warm_checks,
-            interpolant_calls: delta.interpolant_calls,
-            smt_queries: ctx_stats.queries,
-            query_cache_hits: ctx_stats.cache_hits,
             engine_depth: search.deepest as u64,
             engine_nodes: search.expansions,
             ..VerifierStats::default()
-        };
+        }
+        .with_substrate(&smt_start, ctx_stats.queries, ctx_stats.cache_hits);
         Ok(VerificationResult {
             verdict,
             refinements: 0,

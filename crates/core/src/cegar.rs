@@ -244,7 +244,129 @@ impl VerifierStats {
             self.post_cache_hits as f64 / self.post_queries as f64
         }
     }
+
+    /// Adds every counter of [`COUNTERS`] of `other` into `self` — how
+    /// batch totals are formed.
+    pub fn add(&mut self, other: &VerifierStats) {
+        for counter in COUNTERS {
+            *(counter.slot)(self) += counter.get(other);
+        }
+    }
+
+    /// `self` with the solver-substrate counters every engine reports
+    /// filled in: the thread's solver work since `smt_start`, plus the
+    /// engine's context query and query-cache-hit counts.
+    pub(crate) fn with_substrate(
+        mut self,
+        smt_start: &SmtStats,
+        queries: u64,
+        cache_hits: u64,
+    ) -> VerifierStats {
+        let delta = stats_snapshot().since(smt_start);
+        self.solver_calls = delta.sat_checks;
+        self.simplex_calls = delta.simplex_calls;
+        self.simplex_warm_checks = delta.simplex_warm_checks;
+        self.interpolant_calls = delta.interpolant_calls;
+        self.smt_queries = queries;
+        self.query_cache_hits = cache_hits;
+        self
+    }
 }
+
+/// Where a counter sits in the per-task report.  The report emits the
+/// groups as `Solver` counters, `query_hit_rate`, `Engine` counters, the
+/// certificate fields, `Synth` counters, then a `phases` object holding the
+/// `Phase` counters; the golden projection emits its `Solver` and `Engine`
+/// counters before the certificate fields and its `Phase` and `Synth`
+/// counters after them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CounterGroup {
+    /// Run-total solver, simplex, interpolation and cache counters.
+    Solver,
+    /// The engine-specific exploration counters.
+    Engine,
+    /// Per-phase solver and simplex counters, nested under `phases`.
+    Phase,
+    /// Invariant-synthesis counters.
+    Synth,
+}
+
+/// Projection flag: the counter is pinned by the golden task projection.
+pub const GOLDEN: u8 = 1;
+/// Projection flag: the counter is summed into the trajectory totals (and
+/// their golden projection).
+pub const TOTAL: u8 = 2;
+/// Projection flag: the `--compare-previous` gate fails on any per-task
+/// increase of the counter.
+pub const GATED: u8 = 4;
+
+/// One integer counter of [`VerifierStats`]: its report name, its field,
+/// and the projections it appears in.
+#[derive(Clone, Copy, Debug)]
+pub struct Counter {
+    /// The JSON key under which every projection reports the counter.
+    pub name: &'static str,
+    /// The counter's field.
+    pub slot: fn(&mut VerifierStats) -> &mut u64,
+    /// Where the counter sits in the task report.
+    pub group: CounterGroup,
+    /// The projection flags ([`GOLDEN`], [`TOTAL`], [`GATED`]) it carries.
+    pub projections: u8,
+}
+
+impl Counter {
+    const fn new(
+        name: &'static str,
+        slot: fn(&mut VerifierStats) -> &mut u64,
+        group: CounterGroup,
+        projections: u8,
+    ) -> Counter {
+        Counter { name, slot, group, projections }
+    }
+
+    /// The counter's value in `stats`.
+    pub fn get(&self, stats: &VerifierStats) -> u64 {
+        let mut copy = *stats;
+        *(self.slot)(&mut copy)
+    }
+
+    /// Whether the counter carries the projection flag `projection`.
+    pub fn has(&self, projection: u8) -> bool {
+        self.projections & projection != 0
+    }
+}
+
+/// Every integer counter of [`VerifierStats`], in report order: task
+/// reports, golden projections, trajectory totals and the regression gate
+/// all iterate this table, so a new counter is one field plus one row.
+#[rustfmt::skip]
+pub const COUNTERS: &[Counter] = {
+    use CounterGroup::{Engine, Phase, Solver, Synth};
+    &[
+        Counter::new("solver_calls",            |s| &mut s.solver_calls,            Solver, GOLDEN | TOTAL | GATED),
+        Counter::new("simplex_calls",           |s| &mut s.simplex_calls,           Solver, GOLDEN | TOTAL | GATED),
+        Counter::new("simplex_warm_checks",     |s| &mut s.simplex_warm_checks,     Solver, GOLDEN | TOTAL),
+        Counter::new("interpolant_calls",       |s| &mut s.interpolant_calls,       Solver, GOLDEN),
+        Counter::new("smt_queries",             |s| &mut s.smt_queries,             Solver, TOTAL),
+        Counter::new("query_cache_hits",        |s| &mut s.query_cache_hits,        Solver, GOLDEN | TOTAL),
+        Counter::new("post_queries",            |s| &mut s.post_queries,            Solver, TOTAL),
+        Counter::new("post_cache_hits",         |s| &mut s.post_cache_hits,         Solver, GOLDEN | TOTAL),
+        Counter::new("engine_depth",            |s| &mut s.engine_depth,            Engine, GOLDEN),
+        Counter::new("engine_nodes",            |s| &mut s.engine_nodes,            Engine, GOLDEN),
+        Counter::new("engine_lemmas",           |s| &mut s.engine_lemmas,           Engine, GOLDEN),
+        Counter::new("reach_solver_calls",      |s| &mut s.reach_solver_calls,      Phase,  0),
+        Counter::new("cex_solver_calls",        |s| &mut s.cex_solver_calls,        Phase,  0),
+        Counter::new("refine_solver_calls",     |s| &mut s.refine_solver_calls,     Phase,  0),
+        Counter::new("reach_simplex_calls",     |s| &mut s.reach_simplex_calls,     Phase,  0),
+        Counter::new("cex_simplex_calls",       |s| &mut s.cex_simplex_calls,       Phase,  0),
+        Counter::new("refine_simplex_calls",    |s| &mut s.refine_simplex_calls,    Phase,  GOLDEN | TOTAL | GATED),
+        Counter::new("synth_systems_solved",    |s| &mut s.synth_systems_solved,    Synth,  GOLDEN | TOTAL),
+        Counter::new("synth_branches_explored", |s| &mut s.synth_branches_explored, Synth,  GOLDEN | TOTAL | GATED),
+        Counter::new("synth_branches_pruned",   |s| &mut s.synth_branches_pruned,   Synth,  GOLDEN | TOTAL),
+        Counter::new("synth_cores_learned",     |s| &mut s.synth_cores_learned,     Synth,  GOLDEN | TOTAL),
+        Counter::new("synth_memo_hits",         |s| &mut s.synth_memo_hits,         Synth,  GOLDEN | TOTAL),
+    ]
+};
 
 /// The outcome of a verification run, with statistics.
 #[derive(Clone, Debug)]
@@ -712,19 +834,17 @@ fn finalize_stats(
     post: PostStats,
     cex: ContextStats,
 ) -> VerifierStats {
-    let delta = stats_snapshot().since(smt_start);
     let synth = synth_stats_snapshot().since(synth_start);
     stats.synth_systems_solved = synth.systems_solved;
     stats.synth_branches_explored = synth.branches_explored;
     stats.synth_branches_pruned = synth.branches_pruned;
     stats.synth_cores_learned = synth.cores_learned;
     stats.synth_memo_hits = synth.memo_hits;
-    stats.solver_calls = delta.sat_checks;
-    stats.simplex_calls = delta.simplex_calls;
-    stats.simplex_warm_checks = delta.simplex_warm_checks;
-    stats.interpolant_calls = delta.interpolant_calls;
-    stats.smt_queries = post.smt_queries + cex.queries;
-    stats.query_cache_hits = post.query_cache_hits + cex.cache_hits;
+    stats = stats.with_substrate(
+        smt_start,
+        post.smt_queries + cex.queries,
+        post.query_cache_hits + cex.cache_hits,
+    );
     stats.post_queries = post.post_queries;
     stats.post_cache_hits = post.post_cache_hits;
     stats

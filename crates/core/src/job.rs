@@ -333,9 +333,13 @@ impl JobOutcome {
 /// Runs one job on `program` under `token`, absorbing panics and enforcing
 /// the spec's deadline.
 ///
-/// This is *the* execution path every harness shares: the batch runner and
-/// the racing portfolio call it per task, the fuzzer calls it per engine,
-/// and the service calls it per accepted job.  The guarantees:
+/// This is the execution path the batch runner and the racing portfolio
+/// call per task and the service calls per accepted job.  The differential
+/// fuzzer runs engines through its own path instead (`run_engine` in
+/// `pathinv-cli`'s `fuzz` module): it needs the `Unsafe` verdict's
+/// counterexample path to validate it, which [`JobOutcome`] does not carry,
+/// and it maps a `Cancelled` verdict from a run without a deadline to an
+/// error.  The guarantees:
 ///
 /// * a panic inside the engine yields `verdict == "error"` with the panic
 ///   message in `detail` — the calling thread survives;

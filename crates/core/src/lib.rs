@@ -61,7 +61,10 @@ pub mod predabs;
 pub mod refine;
 
 pub use bmc::{BmcConfig, BmcEngine};
-pub use cegar::{CegarConfig, RefinerKind, Verdict, VerificationResult, Verifier, VerifierStats};
+pub use cegar::{
+    CegarConfig, Counter, CounterGroup, RefinerKind, Verdict, VerificationResult, Verifier,
+    VerifierStats, COUNTERS, GATED, GOLDEN, TOTAL,
+};
 pub use engine::{engine_named, verdict_name, VerificationEngine};
 pub use error::{CoreError, CoreResult};
 pub use job::{

@@ -14,14 +14,19 @@
 //!   full and golden JSON projections.
 //! * [`SCHEMA_VERSION`] — stamped into every report; bumped on breaking
 //!   layout changes so golden snapshots are re-blessed deliberately.
-//! * [`engine_rank`] — the deterministic engine column ordering.
+//! * [`engine_rank`], [`engine_label`] — the deterministic engine column
+//!   ordering and the engine/refiner column label.
+//! * [`counter_fields`] — the report fields of the `pathinv-core` counter
+//!   table ([`COUNTERS`]) that a projection selects.
 
 #![warn(missing_docs)]
 
 pub mod json;
 
 use json::Json;
-use pathinv_core::{EngineSpec, JobOutcome, VerifierStats};
+use pathinv_core::{
+    Counter, CounterGroup, EngineSpec, JobOutcome, VerifierStats, COUNTERS, GOLDEN,
+};
 
 // One refiner-column vocabulary across harnesses: defined next to the
 // engines in `pathinv-core`, re-exported here so report consumers need not
@@ -161,17 +166,14 @@ impl TaskReport {
     /// invariants"`, `"bmc"`, ...), used by the differential harness and the
     /// summary table.
     pub fn engine_label(&self) -> String {
-        if self.refiner == NO_REFINER {
-            self.engine.clone()
-        } else {
-            format!("{}/{}", self.engine, self.refiner)
-        }
+        engine_label(&self.engine, &self.refiner)
     }
 
     /// The full JSON rendering of this task.
     pub fn to_json(&self) -> Json {
         let s = &self.stats;
-        Json::object(vec![
+        let group = |g: CounterGroup| counter_fields(s, move |c| c.group == g);
+        let mut fields = vec![
             ("program", Json::Str(self.program_name.clone())),
             ("engine", Json::Str(self.engine.clone())),
             ("refiner", Json::Str(self.refiner.clone())),
@@ -181,50 +183,36 @@ impl TaskReport {
             ("predicates", Json::Int(self.predicates as i64)),
             ("art_nodes", Json::Int(self.art_nodes as i64)),
             ("wall_ms", Json::Float(round3(self.wall_ms))),
-            ("solver_calls", Json::Int(s.solver_calls as i64)),
-            ("simplex_calls", Json::Int(s.simplex_calls as i64)),
-            ("simplex_warm_checks", Json::Int(s.simplex_warm_checks as i64)),
-            ("interpolant_calls", Json::Int(s.interpolant_calls as i64)),
-            ("smt_queries", Json::Int(s.smt_queries as i64)),
-            ("query_cache_hits", Json::Int(s.query_cache_hits as i64)),
-            ("post_queries", Json::Int(s.post_queries as i64)),
-            ("post_cache_hits", Json::Int(s.post_cache_hits as i64)),
-            ("query_hit_rate", Json::Float(round3(s.query_hit_rate()))),
-            ("engine_depth", Json::Int(s.engine_depth as i64)),
-            ("engine_nodes", Json::Int(s.engine_nodes as i64)),
-            ("engine_lemmas", Json::Int(s.engine_lemmas as i64)),
+        ];
+        fields.extend(group(CounterGroup::Solver));
+        fields.push(("query_hit_rate", Json::Float(round3(s.query_hit_rate()))));
+        fields.extend(group(CounterGroup::Engine));
+        fields.extend([
             ("cert_kind", Json::Str(self.cert_kind.clone())),
             ("cert_size", Json::Int(self.cert_size as i64)),
             ("cert_digest", Json::Str(self.cert_digest.clone())),
             ("cert_verdict", Json::Str(self.cert_verdict.clone())),
             ("cert_reason", Json::Str(self.cert_reason.clone())),
             ("cert_check_ms", Json::Float(round3(self.cert_check_ms))),
-            ("synth_systems_solved", Json::Int(s.synth_systems_solved as i64)),
-            ("synth_branches_explored", Json::Int(s.synth_branches_explored as i64)),
-            ("synth_branches_pruned", Json::Int(s.synth_branches_pruned as i64)),
-            ("synth_cores_learned", Json::Int(s.synth_cores_learned as i64)),
-            ("synth_memo_hits", Json::Int(s.synth_memo_hits as i64)),
-            (
-                "phases",
-                Json::object(vec![
-                    ("reach_solver_calls", Json::Int(s.reach_solver_calls as i64)),
-                    ("cex_solver_calls", Json::Int(s.cex_solver_calls as i64)),
-                    ("refine_solver_calls", Json::Int(s.refine_solver_calls as i64)),
-                    ("reach_simplex_calls", Json::Int(s.reach_simplex_calls as i64)),
-                    ("cex_simplex_calls", Json::Int(s.cex_simplex_calls as i64)),
-                    ("refine_simplex_calls", Json::Int(s.refine_simplex_calls as i64)),
-                    ("reach_ms", Json::Float(round3(s.reach_ms))),
-                    ("cex_ms", Json::Float(round3(s.cex_ms))),
-                    ("refine_ms", Json::Float(round3(s.refine_ms))),
-                ]),
-            ),
-        ])
+        ]);
+        fields.extend(group(CounterGroup::Synth));
+        let mut phases: Vec<_> = group(CounterGroup::Phase).collect();
+        phases.extend([
+            ("reach_ms", Json::Float(round3(s.reach_ms))),
+            ("cex_ms", Json::Float(round3(s.cex_ms))),
+            ("refine_ms", Json::Float(round3(s.refine_ms))),
+        ]);
+        fields.push(("phases", Json::object(phases)));
+        Json::object(fields)
     }
 
     /// The golden (regression-compared) JSON rendering: only fields that are
     /// deterministic across runs, machines, and worker counts.
     pub fn to_golden_task_json(&self) -> Json {
-        Json::object(vec![
+        let golden = |groups: [CounterGroup; 2]| {
+            counter_fields(&self.stats, move |c| c.has(GOLDEN) && groups.contains(&c.group))
+        };
+        let mut fields = vec![
             ("program", Json::Str(self.program_name.clone())),
             ("engine", Json::Str(self.engine.clone())),
             ("refiner", Json::Str(self.refiner.clone())),
@@ -232,25 +220,34 @@ impl TaskReport {
             ("refinements", Json::Int(self.refinements as i64)),
             ("predicates", Json::Int(self.predicates as i64)),
             ("art_nodes", Json::Int(self.art_nodes as i64)),
-            ("solver_calls", Json::Int(self.stats.solver_calls as i64)),
-            ("simplex_calls", Json::Int(self.stats.simplex_calls as i64)),
-            ("simplex_warm_checks", Json::Int(self.stats.simplex_warm_checks as i64)),
-            ("interpolant_calls", Json::Int(self.stats.interpolant_calls as i64)),
-            ("query_cache_hits", Json::Int(self.stats.query_cache_hits as i64)),
-            ("post_cache_hits", Json::Int(self.stats.post_cache_hits as i64)),
-            ("engine_depth", Json::Int(self.stats.engine_depth as i64)),
-            ("engine_nodes", Json::Int(self.stats.engine_nodes as i64)),
-            ("engine_lemmas", Json::Int(self.stats.engine_lemmas as i64)),
+        ];
+        fields.extend(golden([CounterGroup::Solver, CounterGroup::Engine]));
+        fields.extend([
             ("cert_kind", Json::Str(self.cert_kind.clone())),
             ("cert_size", Json::Int(self.cert_size as i64)),
             ("cert_digest", Json::Str(self.cert_digest.clone())),
-            ("refine_simplex_calls", Json::Int(self.stats.refine_simplex_calls as i64)),
-            ("synth_systems_solved", Json::Int(self.stats.synth_systems_solved as i64)),
-            ("synth_branches_explored", Json::Int(self.stats.synth_branches_explored as i64)),
-            ("synth_branches_pruned", Json::Int(self.stats.synth_branches_pruned as i64)),
-            ("synth_cores_learned", Json::Int(self.stats.synth_cores_learned as i64)),
-            ("synth_memo_hits", Json::Int(self.stats.synth_memo_hits as i64)),
-        ])
+        ]);
+        fields.extend(golden([CounterGroup::Phase, CounterGroup::Synth]));
+        Json::object(fields)
+    }
+}
+
+/// The `(name, value)` report fields of the [`COUNTERS`] rows that `keep`
+/// selects, in table order.
+pub fn counter_fields<'a>(
+    stats: &'a VerifierStats,
+    keep: impl Fn(&Counter) -> bool + 'a,
+) -> impl Iterator<Item = (&'static str, Json)> + 'a {
+    COUNTERS.iter().filter(move |c| keep(c)).map(|c| (c.name, Json::Int(c.get(stats) as i64)))
+}
+
+/// The column label combining engine and refiner (`"cegar/path-invariants"`,
+/// `"bmc"`, ...): the engine name alone for engines without a refiner.
+pub fn engine_label(engine: &str, refiner: &str) -> String {
+    if refiner == NO_REFINER {
+        engine.to_string()
+    } else {
+        format!("{engine}/{refiner}")
     }
 }
 
